@@ -5,8 +5,7 @@ and the committed ``BENCH_engine.json``); this module exposes the same
 workloads — built by :mod:`repro.bench.suites` so the two harnesses can
 never drift apart — to ``pytest benchmarks/ --benchmark-only`` runs, and
 asserts the structural facts the optimizations rely on: the shape memo
-actually hits, and the fast loop is engaged when no observers are
-attached.
+actually hits, and attaching observers never changes a run.
 """
 
 from __future__ import annotations
@@ -49,14 +48,14 @@ def test_mst_end_to_end(benchmark, report):
     benchmark(spec.make())
 
     # The observer-free run must be indistinguishable from an observed one
-    # (the fast/general loop split is a pure optimization).
+    # (observers only feed the trace and spans).
     graph = random_connected_graph(48, seed=11)
-    fast = run_randomized_mst(graph, seed=3)
-    general = run_randomized_mst(graph, seed=3, trace=True, observe=True)
-    assert fast.mst_weights == general.mst_weights
-    assert fast.metrics.summary() == general.metrics.summary()
+    plain = run_randomized_mst(graph, seed=3)
+    observed = run_randomized_mst(graph, seed=3, trace=True, observe=True)
+    assert plain.mst_weights == observed.mst_weights
+    assert plain.metrics.summary() == observed.metrics.summary()
     report.record(
-        "Engine hot path / fast-vs-general loop",
-        f"n=48 randomized MST: weight sum {sum(fast.mst_weights)}, "
-        f"metrics identical across specialized loops",
+        "Engine hot path / observed-vs-plain run",
+        f"n=48 randomized MST: weight sum {sum(plain.mst_weights)}, "
+        f"metrics identical with and without observers",
     )

@@ -17,14 +17,14 @@ Tiers
     that actually bounds how large an ``n`` the experiment sweeps reach.
 ``fault``
     Runs under a fault-injecting channel model (:mod:`repro.sim.transport`):
-    the general loop with channel dispatch and the delayed-message heap.
-    Guards the robustness workload the same way ``micro``/``e2e`` guard
-    the default path.
+    the round loop's per-message channel calls and the delayed-message
+    heap.  Guards the robustness workload the same way ``micro``/``e2e``
+    guard the perfect channel.
 ``monitors``
     Full MST runs with every invariant monitor attached
     (:mod:`repro.invariants`): probe buffering, group checking, and span
-    forwarding on top of the general loop.  Compared against the ``e2e``
-    twins, the ratio *is* the monitoring overhead.
+    forwarding on top of the round loop's observer feeds.  Compared
+    against the ``e2e`` twins, the ratio *is* the monitoring overhead.
 ``mis``
     Full ``Sleeping-MIS`` runs (the second problem bundle,
     :mod:`repro.problems.mis`), bare and monitored.  Not smoke — the
@@ -43,9 +43,9 @@ Tiers
     so ``gnp`` at this ``n`` would take minutes per sample).
 
 The ``smoke`` flag marks the subset cheap enough for CI on every push.
-The ``scale`` tier is deliberately *not* smoke: CI runs it in a separate
-``scale-smoke`` job via explicit ``--names`` so the per-push job stays
-fast.
+The ``scale`` tier is deliberately *not* smoke: the ``bench-smoke`` CI
+job runs it as a separate ``--suite scale`` step at fewer repeats, so
+the smoke report stays comparable with the committed baseline.
 """
 
 from __future__ import annotations
@@ -166,7 +166,7 @@ def _make_engine_loop(n: int = 128) -> Callable[[], Any]:
 
 
 # ----------------------------------------------------------------------
-# Fault tier: the general loop under channel models
+# Fault tier: the round loop under channel models
 # ----------------------------------------------------------------------
 
 def _make_engine_fault_drop(n: int = 128, p: float = 0.05) -> Callable[[], Any]:
@@ -174,7 +174,7 @@ def _make_engine_fault_drop(n: int = 128, p: float = 0.05) -> Callable[[], Any]:
     from repro.sim import DropChannel, simulate
 
     # Heartbeats never read their inbox, so they tolerate any loss rate:
-    # this times the general loop + channel dispatch, not protocol recovery.
+    # this times the round loop + channel calls, not protocol recovery.
     graph = ring_graph(n, seed=1)
     channel = DropChannel(p)
 

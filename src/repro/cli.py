@@ -85,6 +85,8 @@ from typing import Optional, Sequence
 from repro.baselines import run_sleeping_spanning_tree, run_traditional_ghs
 from repro.core import run_deterministic_mst, run_randomized_mst
 from repro.orchestrator import GRAPH_FAMILIES
+from repro.sim.array_engine import require
+from repro.sim.errors import UnsupportedFeatureError
 
 
 def _run_algorithm(args: argparse.Namespace, **sim_kwargs):
@@ -106,42 +108,30 @@ def _effective_problem(args: argparse.Namespace) -> str:
 
 
 def _dispatch_algorithm(args: argparse.Namespace, graph, **sim_kwargs):
+    engine = getattr(args, "engine", None)
     if _effective_problem(args) == "mis":
         from repro.problems import run_sleeping_mis
 
-        mis_engine = getattr(args, "engine", None)
-        if mis_engine is not None and mis_engine != "coroutine":
-            # Routed through the runner so the rejection names the
-            # Sleeping-MIS feature and the coroutine fallback.
-            sim_kwargs["engine"] = mis_engine
-        return run_sleeping_mis(graph, seed=args.seed, **sim_kwargs)
-    engine = getattr(args, "engine", None)
-    if engine is not None and engine != "coroutine":
-        if args.algorithm not in ("randomized", "deterministic"):
-            from repro.sim.errors import UnsupportedFeatureError
-
-            raise UnsupportedFeatureError(
-                args.algorithm, "only Randomized-MST is vectorized"
-            )
-        sim_kwargs["engine"] = engine
+        return run_sleeping_mis(graph, seed=args.seed, engine=engine, **sim_kwargs)
     if args.algorithm == "randomized":
-        result = run_randomized_mst(
+        return run_randomized_mst(
             graph,
             seed=args.seed,
             termination=getattr(args, "termination", "adaptive"),
+            engine=engine,
             **sim_kwargs,
         )
-    elif args.algorithm == "deterministic":
-        result = run_deterministic_mst(
+    if args.algorithm == "deterministic":
+        return run_deterministic_mst(
             graph,
             coloring=getattr(args, "coloring", "fast-awake"),
+            engine=engine,
             **sim_kwargs,
         )
-    elif args.algorithm == "traditional":
-        result = run_traditional_ghs(graph, seed=args.seed, **sim_kwargs)
-    else:
-        result = run_sleeping_spanning_tree(graph, seed=args.seed, **sim_kwargs)
-    return result
+    require(engine, args.algorithm)
+    if args.algorithm == "traditional":
+        return run_traditional_ghs(graph, seed=args.seed, **sim_kwargs)
+    return run_sleeping_spanning_tree(graph, seed=args.seed, **sim_kwargs)
 
 
 def _faults_sim_kwargs(args: argparse.Namespace, sim_kwargs: dict):
@@ -164,7 +154,7 @@ def _monitors_sim_kwargs(args: argparse.Namespace, sim_kwargs: dict):
     """Resolve ``--monitors`` into sim kwargs; returns the MonitorSet.
 
     Raises ``ValueError`` on unknown monitor names.  ``None`` / ``off``
-    leaves ``sim_kwargs`` untouched (the engine fast path stays usable).
+    leaves ``sim_kwargs`` untouched (the run stays unmonitored).
     """
     spec = getattr(args, "monitors", None)
     if spec is None:
@@ -209,32 +199,28 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(str(error), file=sys.stderr)
         return 2
 
-    if getattr(args, "engine", None) == "array" and (
-        faults is not None or monitor_set is not None
-    ):
-        # Fail before running anything: a fault/monitor cell on the array
-        # engine would otherwise be misdiagnosed as a protocol crash.
-        from repro.sim.errors import UnsupportedFeatureError
-
-        feature = "fault specs" if faults is not None else "invariant monitors"
-        print(str(UnsupportedFeatureError(feature)), file=sys.stderr)
-        return 2
-
     outcome = None
     diagnosis = None
-    if faults is not None and args.algorithm in (
-        "randomized", "deterministic", "traditional"
-    ):
-        # A fault-injected MST run may crash, hang, or silently produce a
-        # wrong tree; classify instead of tracebacking.
-        from repro.graphs import verify_or_diagnose
+    graph = GRAPH_FAMILIES[args.graph](args.n, args.seed, args.id_range)
+    try:
+        if faults is not None and args.algorithm in (
+            "randomized", "deterministic", "traditional"
+        ):
+            # A fault-injected MST run may crash, hang, or silently produce
+            # a wrong tree; classify instead of tracebacking.
+            from repro.graphs import verify_or_diagnose
 
-        graph = GRAPH_FAMILIES[args.graph](args.n, args.seed, args.id_range)
-        diagnosis = verify_or_diagnose(
-            graph,
-            lambda: _dispatch_algorithm(args, graph, **sim_kwargs),
-            monitors=monitor_set,
-        )
+            diagnosis = verify_or_diagnose(
+                graph,
+                lambda: _dispatch_algorithm(args, graph, **sim_kwargs),
+                monitors=monitor_set,
+            )
+        else:
+            result = _dispatch_algorithm(args, graph, **sim_kwargs)
+    except UnsupportedFeatureError as error:
+        print(str(error), file=sys.stderr)
+        return 2
+    if diagnosis is not None:
         outcome = diagnosis.outcome
         if not diagnosis.completed:
             extras = _diagnosis_extras(diagnosis, monitor_set)
@@ -255,14 +241,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 _print_diagnosis_extras(extras)
             return 1
         result = diagnosis.result
-    else:
-        from repro.sim.errors import UnsupportedFeatureError
-
-        try:
-            graph, result = _run_algorithm(args, **sim_kwargs)
-        except UnsupportedFeatureError as error:
-            print(str(error), file=sys.stderr)
-            return 2
 
     trace_events = None
     if args.save_trace:

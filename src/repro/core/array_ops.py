@@ -49,7 +49,6 @@ from repro.sim.array_engine import (
     NONE_BITS,
     TUPLE_OVERHEAD,
     int_field_bits,
-    require_numpy,
     validate_array_sim_kwargs,
 )
 from repro.sim.engine import SimulationResult
@@ -230,11 +229,10 @@ def run_randomized_mst_array(
     :class:`repro.sim.errors.UnsupportedFeatureError` (see
     :func:`repro.sim.array_engine.validate_array_sim_kwargs`).
     """
-    require_numpy()
+    supported = validate_array_sim_kwargs(sim_kwargs)
     if termination not in ("adaptive", "fixed"):
         raise ValueError(f"unknown termination mode {termination!r}")
     adaptive = termination == "adaptive"
-    supported = validate_array_sim_kwargs(sim_kwargs)
 
     g = ArrayGraph(graph)
     n = g.n

@@ -31,8 +31,7 @@ from repro.graphs import (
     require_sleeping_model_inputs,
 )
 from repro.sim import Metrics, SimulationResult, SleepingSimulator
-from repro.sim.array_engine import resolve_engine
-from repro.sim.errors import UnsupportedFeatureError
+from repro.sim.array_engine import require, resolve_engine
 
 from .mst_randomized import MSTNodeOutput, randomized_mst_protocol
 
@@ -248,10 +247,7 @@ def run_deterministic_mst(
     ``engine="array"`` raises
     :class:`repro.sim.errors.UnsupportedFeatureError`.
     """
-    if resolve_engine(engine) == "array":
-        raise UnsupportedFeatureError(
-            "Deterministic-MST", "only Randomized-MST is vectorized"
-        )
+    require(engine, "Deterministic-MST")
     from .mst_deterministic import deterministic_mst_protocol
 
     def factory(ctx):

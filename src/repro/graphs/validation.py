@@ -175,7 +175,9 @@ def verify_or_diagnose(
     :class:`repro.core.RunResult` — the problem-generic surface) or the
     legacy ``is_correct_mst(graph)``.  Exceptions raised by ``run`` are
     classified, not propagated — except for
-    ``KeyboardInterrupt``/``SystemExit``.
+    ``KeyboardInterrupt``/``SystemExit`` and
+    :class:`~repro.sim.errors.UnsupportedFeatureError`: a configuration the
+    backend cannot run is the caller's error, not a protocol outcome.
 
     When the run was executed with an attached
     :class:`repro.invariants.MonitorSet`, pass it as ``monitors``: the
@@ -185,10 +187,16 @@ def verify_or_diagnose(
     """
     # Imported lazily: the graphs layer must not depend on the simulator
     # at import time (layering), only on its error taxonomy at call time.
-    from repro.sim.errors import SimulationError, SimulationLimitExceeded
+    from repro.sim.errors import (
+        SimulationError,
+        SimulationLimitExceeded,
+        UnsupportedFeatureError,
+    )
 
     try:
         result = run()
+    except UnsupportedFeatureError:
+        raise
     except SimulationLimitExceeded as error:
         return MSTDiagnosis(
             outcome="hung", error=str(error), **_monitor_fields(monitors)

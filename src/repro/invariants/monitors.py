@@ -17,9 +17,9 @@ executes*:
   metrics (CONGEST budget).
 
 Monitors are observers in the strict sense: they never touch protocol
-randomness, messages, or schedules, and a detached run
-(``monitors=None``, the default) takes the engine fast path untouched —
-byte-identical output, pinned by the golden transport tests.
+randomness, messages, or schedules, so a monitored run is byte-identical
+to a detached one (``monitors=None``, the default), and the detached run
+to the golden transport tests.
 """
 
 from __future__ import annotations

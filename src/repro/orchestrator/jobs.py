@@ -304,13 +304,6 @@ def execute_job(spec: JobSpec) -> Dict[str, Any]:
     options = dict(spec.options)
     faults = options.pop("faults", None)
     monitors_spec = options.pop("monitors", None)
-    if options.get("engine") == "array" and (faults or monitors_spec):
-        # Fail before running anything: a fault/monitor cell on the array
-        # engine would otherwise be misdiagnosed as a protocol crash.
-        from repro.sim.errors import UnsupportedFeatureError
-
-        feature = "fault specs" if faults else "invariant monitors"
-        raise UnsupportedFeatureError(feature)
     monitor_set = None
     if monitors_spec is not None:
         # Built fresh inside the worker — MonitorSet instances hold run

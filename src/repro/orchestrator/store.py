@@ -15,15 +15,14 @@ serial, pooled, and cache-replayed executions of the same spec.
 from __future__ import annotations
 
 import json
-import logging
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Set, Union
 
-from .jobs import JobSpec, canonical_json
+from repro.jsonl import read_jsonl
 
-logger = logging.getLogger(__name__)
+from .jobs import JobSpec, canonical_json
 
 #: Bump when the record layout changes incompatibly.
 SCHEMA_VERSION = 1
@@ -145,30 +144,13 @@ class RunStore:
 
         A writer that died mid-append (a crashed worker, a killed
         daemon) leaves a truncated final line.  Such lines are skipped
-        with a warning — never an exception — so a store always remains
-        loadable and resumable by its own successor process.
+        with a warning — never an exception — and counted in
+        :attr:`skipped_lines` (see :func:`repro.jsonl.read_jsonl`), so a
+        store always remains loadable and resumable by its own successor
+        process.
         """
-        self.skipped_lines = 0
-        records: List[RunRecord] = []
-        if not self.path.exists():
-            return records
-        with open(self.path, "r", encoding="utf-8") as handle:
-            for number, line in enumerate(handle, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    payload = json.loads(line)
-                    records.append(RunRecord.from_dict(payload))
-                except (ValueError, KeyError, TypeError) as error:
-                    self.skipped_lines += 1
-                    logger.warning(
-                        "skipping malformed line %d of %s "
-                        "(torn write from a crashed writer?): %s",
-                        number,
-                        self.path,
-                        error,
-                    )
+        records = read_jsonl(self.path, RunRecord.from_dict)
+        self.skipped_lines = records.skipped_lines
         return records
 
     def latest_by_key(self) -> Dict[str, RunRecord]:

@@ -14,9 +14,9 @@ from typing import Any, Dict, FrozenSet, Optional
 
 from repro.core.runner import RunResult
 from repro.graphs import WeightedGraph, require_sleeping_model_inputs
+from repro.invariants import build_monitor_set
 from repro.sim import Metrics, SimulationResult, SleepingSimulator
-from repro.sim.array_engine import resolve_engine
-from repro.sim.errors import UnsupportedFeatureError
+from repro.sim.array_engine import require
 
 from .protocol import MISNodeOutput, sleeping_mis_protocol
 from .validation import check_local_mis_outputs, is_maximal_independent_set
@@ -78,13 +78,17 @@ def run_sleeping_mis(
         the fallback engine.
     sim_kwargs:
         Forwarded to :class:`repro.sim.SleepingSimulator` (``trace=True``,
-        ``observe=True``, ``monitors=...``).
+        ``observe=True``, ``monitors=...``).  A ``monitors`` spec string
+        is built for the MIS problem, so ``"all"`` attaches the MIS
+        monitors.
     """
-    if resolve_engine(engine) == "array":
-        raise UnsupportedFeatureError(
-            "Sleeping-MIS", "only Randomized-MST is vectorized"
-        )
+    require(engine, "Sleeping-MIS")
     require_sleeping_model_inputs(graph)
+    if isinstance(sim_kwargs.get("monitors"), str):
+        # The engine would expand "all" to the MST monitors.
+        sim_kwargs["monitors"] = build_monitor_set(
+            sim_kwargs["monitors"], problem="mis"
+        )
 
     def factory(ctx):
         return sleeping_mis_protocol(ctx, max_phases=max_phases)

@@ -10,13 +10,13 @@ return an :class:`repro.core.MSTRunResult`.
 from __future__ import annotations
 
 import math
-from typing import Any, Dict
+from typing import Any, Dict, Optional
 
 from repro.baselines import run_pipelined_ghs, run_traditional_ghs
 from repro.core import run_deterministic_mst, run_randomized_mst
 from repro.graphs import WeightedGraph, mst_weight_set
 from repro.invariants.monitors import PROBLEM_MONITORS
-from repro.sim.array_engine import resolve_engine
+from repro.sim.array_engine import require
 
 from .base import AlgorithmRunner, ProblemBundle, register_problem
 
@@ -34,29 +34,19 @@ def _run_logstar(graph: WeightedGraph, seed: int, **options: Any):
     return run_deterministic_mst(graph, seed=seed, **options)
 
 
-def _reject_array_engine(algorithm: str, options: Dict[str, Any]) -> None:
-    """Comparator runners have no vectorized implementation.
-
-    The MST runners validate ``engine=`` themselves; here we strip the
-    default value and fail loudly on ``"array"`` instead of letting an
-    unknown keyword reach the traditional runners.
-    """
-    engine = options.pop("engine", None)
-    if resolve_engine(engine) == "array":
-        from repro.sim.errors import UnsupportedFeatureError
-
-        raise UnsupportedFeatureError(
-            algorithm, "only Randomized-MST is vectorized"
-        )
-
-
-def _run_traditional(graph: WeightedGraph, seed: int, **options: Any):
-    _reject_array_engine("Traditional-GHS", options)
+# The comparators have no vectorized implementation; ``engine`` is taken
+# here so that ``"array"`` fails loudly instead of reaching the GHS runners.
+def _run_traditional(
+    graph: WeightedGraph, seed: int, engine: Optional[str] = None, **options: Any
+):
+    require(engine, "Traditional-GHS")
     return run_traditional_ghs(graph, seed=seed, **options)
 
 
-def _run_pipelined(graph: WeightedGraph, seed: int, **options: Any):
-    _reject_array_engine("Pipelined-GHS", options)
+def _run_pipelined(
+    graph: WeightedGraph, seed: int, engine: Optional[str] = None, **options: Any
+):
+    require(engine, "Pipelined-GHS")
     return run_pipelined_ghs(graph, seed=seed, **options)
 
 

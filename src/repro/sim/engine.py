@@ -20,12 +20,11 @@ Transport layer
 Message delivery is delegated to a pluggable :class:`~repro.sim.transport.
 ChannelModel` (``SleepingSimulator(channel=...)``).  The default
 :class:`~repro.sim.transport.PerfectChannel` reproduces the paper's
-semantics byte-for-byte — and when it is in use with no observers
-attached, the engine keeps its inlined fast-path loop, so the default
-configuration pays nothing for the abstraction.  Seeded fault models
-(drop/delay/duplicate/crash) route through the general loop, which
-resolves every :class:`~repro.sim.transport.Outcome` into the metrics,
-trace, and observability layers.
+semantics byte-for-byte.  Every configuration runs through one round
+loop: under the perfect channel it applies the sleeping rule inline, and
+under a seeded fault model (drop/delay/duplicate/crash) it resolves each
+:class:`~repro.sim.transport.Outcome` into the metrics, trace, and
+observability layers.
 
 Sparse execution
 ----------------
@@ -121,8 +120,6 @@ class _NodeRuntime:
     pending_sends: Dict[int, Any] = field(default_factory=dict)
     #: Knowledge mask snapshot taken when the pending sends were scheduled.
     pending_knowledge: int = 0
-    last_awake_round: int = 0
-    finished: bool = False
     #: Alias of ``metrics.per_node[node_id]`` for this run.
     node_metrics: Any = None
     #: Alias of the engine's adjacency entry: port -> (nbr, nbr_port, w).
@@ -183,8 +180,7 @@ class SleepingSimulator:
         protocol probe snapshots (``ctx.probe``) and closed span records
         through the obs layer — attaching them implies observability —
         and never alter the execution.  Detached (the default) the engine
-        is byte-identical to the pre-monitor code and keeps its fast
-        path.
+        is byte-identical to the pre-monitor code.
     track_knowledge:
         Maintain causal knowledge sets (Theorem 3 experiments).
     max_rounds:
@@ -286,17 +282,9 @@ class SleepingSimulator:
     def run(self) -> SimulationResult:
         """Execute the simulation to completion and return its result.
 
-        Dispatches to one of two loop specializations producing *identical*
-        results (the differential tests in ``tests/sim`` are the oracle):
-
-        * the **fast path**, taken when no observer (trace, knowledge,
-          obs) is attached *and* the channel is the default
-          :class:`~repro.sim.transport.PerfectChannel` — all observer and
-          transport branches are hoisted out, hot attributes are bound to
-          locals, aggregate counters accumulate in locals and are flushed
-          into :class:`Metrics` once;
-        * the **general path**, which feeds the observers and resolves
-          channel-model outcomes (drops, delays, duplicates, crashes).
+        Every configuration runs through the same round loop
+        (:meth:`_run_rounds`); the channel model and the observers only
+        change which branches of it fire.
         """
         self.channel.reset(self._node_ids, Random(f"{self.seed}/transport"))
         if self.monitors is not None:
@@ -321,15 +309,7 @@ class SleepingSimulator:
             self._accept_action(node_id, runtime, value, current_round=0)
             heapq.heappush(wakeups, (value.round, node_id))
 
-        if (
-            self.trace is None
-            and self.knowledge is None
-            and self.obs is None
-            and self.channel.is_perfect
-        ):
-            self._run_fast(metrics, results, runtimes, wakeups)
-        else:
-            self._run_general(metrics, results, runtimes, wakeups)
+        self._run_rounds(metrics, results, runtimes, wakeups)
 
         if self.obs is not None:
             self.obs.finalize(metrics)
@@ -350,156 +330,75 @@ class SleepingSimulator:
             monitors=self.monitors,
         )
 
-    def _run_fast(
+    def _run_rounds(
         self,
         metrics: Metrics,
         results: Dict[int, Any],
         runtimes: Dict[int, _NodeRuntime],
         wakeups: List[Tuple[int, int]],
     ) -> None:
-        """Observer-free round loop (the common benchmark/sweep configuration)."""
+        """The round loop: jump to the next populated round, transmit, compute.
+
+        Aggregate counters accumulate in locals and are written into
+        ``metrics`` once, after the last round.  Under the perfect channel
+        the sleeping rule decides each delivery inline; any other channel
+        model returns an :class:`~repro.sim.transport.Outcome` per message,
+        resolved here into drops, delayed deliveries (a heap of in-flight
+        messages with deliver-at rounds), duplicates, and crash-stop node
+        failures.  The observers (trace, knowledge, obs) are fed only when
+        one is attached and never alter the execution.
+        """
+        trace = self.trace
+        knowledge = self.knowledge
+        observed = trace is not None or knowledge is not None or self.obs is not None
+        channel = self.channel
+        deliver = None if channel.is_perfect else channel.deliver
+        crash_round = channel.crash_round
+        has_crashes = any(
+            crash_round(node_id) is not None for node_id in self._node_ids
+        )
         congest = self.congest
         congest_check = congest.check
         congest_budget = congest.budget
         congest_strict = congest.strict
+        max_rounds = self.max_rounds
         max_awake_events = self.max_awake_events
-        pop_round = self._pop_round
-        advance = self._advance_protocol
+        accept_action = self._accept_action
+        heappop = heapq.heappop
+        heappush = heapq.heappush
 
-        total_bits = 0
-        max_message_bits = 0
+        last_round = 0
+        total_awake_rounds = 0
         messages_delivered = 0
         messages_lost = 0
-        total_awake_rounds = 0
+        messages_dropped = 0
+        messages_delayed = 0
+        messages_duplicated = 0
+        total_bits = 0
+        max_message_bits = 0
         congest_violations = 0
         max_awake_running = 0
-        last_round = 0
-        awake_events = 0
 
-        # Inboxes are keyed by receiver and populated lazily on first
-        # delivery; every receiver is awake this round, so phase B drains
-        # the dict completely and it is reused round after round.
+        # Inboxes (and, when tracking knowledge, the knowledge masks that
+        # arrived with the messages) are keyed by receiver and filled on
+        # first delivery; every receiver is awake this round, so Phase B
+        # drains both dicts and they are reused round after round.
         inboxes: Dict[int, Dict[int, Any]] = {}
-        awake_now: List[int] = []
-
-        while wakeups:
-            current_round = pop_round(wakeups, awake_now)
-            awake_set = set(awake_now)
-            last_round = current_round
-
-            # Phase A: transmit.  All sends scheduled for this round go out
-            # simultaneously; only awake receivers hear them.
-            for node_id in awake_now:
-                runtime = runtimes[node_id]
-                pending = runtime.pending_sends
-                if not pending:
-                    continue
-                sender_metrics = runtime.node_metrics
-                ports_map = runtime.ports_map
-                for port, payload in pending.items():
-                    neighbour_id, neighbour_port, _ = ports_map[port]
-                    bits = congest_check(payload)
-                    sender_metrics.messages_sent += 1
-                    sender_metrics.bits_sent += bits
-                    total_bits += bits
-                    if bits > max_message_bits:
-                        max_message_bits = bits
-                    if bits > congest_budget:
-                        congest_violations += 1
-                        if congest_strict:
-                            raise CongestViolation(
-                                node_id, port, bits, congest_budget
-                            )
-                    if neighbour_id in awake_set:
-                        inbox = inboxes.get(neighbour_id)
-                        if inbox is None:
-                            inbox = inboxes[neighbour_id] = {}
-                        inbox[neighbour_port] = payload
-                        messages_delivered += 1
-                        receiver = runtimes[neighbour_id].node_metrics
-                        receiver.messages_received += 1
-                        receiver.bits_received += bits
-                    else:
-                        messages_lost += 1
-                        runtimes[
-                            neighbour_id
-                        ].node_metrics.messages_lost_as_receiver += 1
-                runtime.pending_sends = {}
-
-            # Phase B: local computation.  Resume every awake node with its
-            # inbox; it either terminates or schedules its next awake round.
-            for node_id in awake_now:
-                runtime = runtimes[node_id]
-                node_metrics = runtime.node_metrics
-                awake = node_metrics.awake_rounds + 1
-                node_metrics.awake_rounds = awake
-                if awake > max_awake_running:
-                    max_awake_running = awake
-                total_awake_rounds += 1
-                awake_events += 1
-                runtime.last_awake_round = current_round
-                inbox = inboxes.pop(node_id, None)
-                if inbox is None:
-                    inbox = {}
-                advance(
-                    node_id, runtime, inbox, current_round, results, metrics, wakeups
-                )
-
-            if awake_events > max_awake_events:
-                raise SimulationLimitExceeded(
-                    f"exceeded max_awake_events={max_awake_events}; "
-                    "a protocol is probably not terminating"
-                )
-
-        metrics.rounds = last_round
-        metrics.total_awake_rounds = total_awake_rounds
-        metrics.messages_delivered = messages_delivered
-        metrics.messages_lost = messages_lost
-        metrics.total_bits = total_bits
-        metrics.max_message_bits = max_message_bits
-        metrics.congest_violations = congest_violations
-        metrics.max_awake_running = max_awake_running
-
-    def _run_general(
-        self,
-        metrics: Metrics,
-        results: Dict[int, Any],
-        runtimes: Dict[int, _NodeRuntime],
-        wakeups: List[Tuple[int, int]],
-    ) -> None:
-        """Round loop with observers and/or a non-default channel attached.
-
-        Kept semantically aligned with :meth:`_run_fast` under the
-        perfect channel — both paths must fill :class:`Metrics`
-        identically (the observe-on/off determinism tests compare them end
-        to end).  On top of that it feeds the observers and resolves
-        transport outcomes: drops, delayed deliveries (a heap of
-        in-flight messages with deliver-at rounds), duplicates, and
-        crash-stop node failures.
-        """
-        trace = self.trace
-        knowledge = self.knowledge
-        observed = self.obs is not None
-        channel = self.channel
-        channel_deliver = channel.deliver
-        has_crashes = any(
-            channel.crash_round(node_id) is not None
-            for node_id in self._node_ids
-        )
-        congest = self.congest
-        congest_budget = congest.budget
-        congest_strict = congest.strict
-        max_awake_running = 0
-        last_round = 0
-        awake_events = 0
+        received_masks: Dict[int, List[int]] = {}
         # In-flight messages re-scheduled by the channel (delays and
         # duplicate copies): a heap of ``(deliver_round, sequence,
         # receiver, receiver_port, payload, bits, sender, knowledge_mask)``.
         delayed: List[Tuple[int, int, int, int, Any, int, int, int]] = []
         delayed_seq = 0
-        awake_now: List[int] = []
         while wakeups:
-            current_round = self._pop_round(wakeups, awake_now)
+            current_round = wakeups[0][0]
+            if max_rounds is not None and current_round > max_rounds:
+                raise SimulationLimitExceeded(
+                    f"round {current_round} exceeds max_rounds={max_rounds}"
+                )
+            awake_now: List[int] = []
+            while wakeups and wakeups[0][0] == current_round:
+                awake_now.append(heappop(wakeups)[1])
             last_round = current_round
 
             if has_crashes:
@@ -507,7 +406,7 @@ class SleepingSimulator:
                 # neither transmits nor computes from that round on.
                 alive: List[int] = []
                 for node_id in awake_now:
-                    crash_at = channel.crash_round(node_id)
+                    crash_at = crash_round(node_id)
                     if crash_at is not None and crash_at <= current_round:
                         self._crash_node(
                             node_id, runtimes[node_id], current_round, metrics
@@ -516,13 +415,6 @@ class SleepingSimulator:
                         alive.append(node_id)
                 awake_now = alive
             awake_set = set(awake_now)
-
-            inboxes: Dict[int, Dict[int, Any]] = {
-                node_id: {} for node_id in awake_now
-            }
-            received_masks: Dict[int, List[int]] = {
-                node_id: [] for node_id in awake_now
-            }
 
             # Delayed arrivals scheduled at or before this round resolve
             # now: an exactly-now arrival reaches an awake receiver;
@@ -540,21 +432,24 @@ class SleepingSimulator:
                     bits,
                     sender_id,
                     mask,
-                ) = heapq.heappop(delayed)
+                ) = heappop(delayed)
                 if arrive_round == current_round and receiver_id in awake_set:
-                    inboxes[receiver_id][receiver_port] = payload
-                    metrics.messages_delivered += 1
+                    inbox = inboxes.get(receiver_id)
+                    if inbox is None:
+                        inbox = inboxes[receiver_id] = {}
+                    inbox[receiver_port] = payload
+                    messages_delivered += 1
                     receiver = runtimes[receiver_id].node_metrics
                     receiver.messages_received += 1
                     receiver.bits_received += bits
                     if knowledge is not None:
-                        received_masks[receiver_id].append(mask)
+                        received_masks.setdefault(receiver_id, []).append(mask)
                     if trace is not None:
                         trace.record(
                             current_round, "deliver", receiver_id, sender_id, payload
                         )
                 else:
-                    metrics.messages_lost += 1
+                    messages_lost += 1
                     runtimes[
                         receiver_id
                     ].node_metrics.messages_lost_as_receiver += 1
@@ -563,127 +458,126 @@ class SleepingSimulator:
                             arrive_round, "lose", receiver_id, sender_id, payload
                         )
 
-            # Phase A: transmit.  Shared delivery bookkeeping; the channel
-            # model decides each message's fate.
+            # Phase A: transmit.  All sends scheduled for this round go out
+            # simultaneously; only awake receivers hear them.
             for node_id in awake_now:
                 runtime = runtimes[node_id]
                 pending = runtime.pending_sends
                 if not pending:
                     continue
-                sender_metrics = runtime.node_metrics
                 ports_map = runtime.ports_map
-                pending_mask = runtime.pending_knowledge
+                sent_bits = 0
                 for port, payload in pending.items():
                     neighbour_id, neighbour_port, _ = ports_map[port]
-                    bits = congest.check(payload)
-                    sender_metrics.messages_sent += 1
-                    sender_metrics.bits_sent += bits
-                    if observed:
-                        # The sender's generator is still suspended at the
-                        # yield that scheduled this send, so the innermost
-                        # open span is the one that produced the message.
-                        runtime.context.obs.charge_send(bits)
-                    metrics.total_bits += bits
-                    if bits > metrics.max_message_bits:
-                        metrics.max_message_bits = bits
+                    bits = congest_check(payload)
+                    sent_bits += bits
+                    if bits > max_message_bits:
+                        max_message_bits = bits
                     if bits > congest_budget:
-                        metrics.congest_violations += 1
+                        congest_violations += 1
                         if congest_strict:
                             raise CongestViolation(
                                 node_id, port, bits, congest_budget
                             )
-                    if trace is not None:
-                        trace.record(
-                            current_round, "send", node_id, neighbour_id, payload
+                    if deliver is None:
+                        kind = "deliver" if neighbour_id in awake_set else "lose"
+                    else:
+                        outcome = deliver(
+                            current_round,
+                            node_id,
+                            port,
+                            payload,
+                            bits,
+                            neighbour_id in awake_set,
                         )
-                    outcome = channel_deliver(
-                        current_round,
-                        node_id,
-                        port,
-                        payload,
-                        bits,
-                        neighbour_id in awake_set,
-                    )
-                    kind = outcome.kind
+                        kind = outcome.kind
+                        if kind == "drop":
+                            messages_dropped += 1
+                        elif kind == "delay":
+                            messages_delayed += 1
+                            delayed_seq += 1
+                            heappush(
+                                delayed,
+                                (
+                                    outcome.deliver_round,
+                                    delayed_seq,
+                                    neighbour_id,
+                                    neighbour_port,
+                                    payload,
+                                    bits,
+                                    node_id,
+                                    runtime.pending_knowledge,
+                                ),
+                            )
+                        if outcome.duplicate_round is not None:
+                            messages_duplicated += 1
+                            delayed_seq += 1
+                            heappush(
+                                delayed,
+                                (
+                                    outcome.duplicate_round,
+                                    delayed_seq,
+                                    neighbour_id,
+                                    neighbour_port,
+                                    payload,
+                                    bits,
+                                    node_id,
+                                    runtime.pending_knowledge,
+                                ),
+                            )
                     if kind == "deliver":
-                        inboxes[neighbour_id][neighbour_port] = payload
-                        metrics.messages_delivered += 1
+                        inbox = inboxes.get(neighbour_id)
+                        if inbox is None:
+                            inbox = inboxes[neighbour_id] = {}
+                        inbox[neighbour_port] = payload
+                        messages_delivered += 1
                         receiver = runtimes[neighbour_id].node_metrics
                         receiver.messages_received += 1
                         receiver.bits_received += bits
-                        if knowledge is not None:
-                            received_masks[neighbour_id].append(pending_mask)
-                        if trace is not None:
-                            trace.record(
-                                current_round,
-                                "deliver",
-                                neighbour_id,
-                                node_id,
-                                payload,
-                            )
                     elif kind == "lose":
-                        metrics.messages_lost += 1
+                        messages_lost += 1
                         runtimes[
                             neighbour_id
                         ].node_metrics.messages_lost_as_receiver += 1
+                    if observed:
+                        # The sender's generator is still suspended at the
+                        # yield that scheduled this send, so its innermost
+                        # open span is the one that produced the message.
+                        if runtime.context.obs is not None:
+                            runtime.context.obs.charge_send(bits)
+                        if knowledge is not None and kind == "deliver":
+                            received_masks.setdefault(neighbour_id, []).append(
+                                runtime.pending_knowledge
+                            )
                         if trace is not None:
                             trace.record(
-                                current_round, "lose", neighbour_id, node_id, payload
+                                current_round, "send", node_id, neighbour_id, payload
                             )
-                    elif kind == "drop":
-                        metrics.messages_dropped += 1
-                        if trace is not None:
                             trace.record(
-                                current_round, "drop", neighbour_id, node_id, payload
+                                current_round, kind, neighbour_id, node_id, payload
                             )
-                    else:  # "delay"
-                        metrics.messages_delayed += 1
-                        delayed_seq += 1
-                        heapq.heappush(
-                            delayed,
-                            (
-                                outcome.deliver_round,
-                                delayed_seq,
-                                neighbour_id,
-                                neighbour_port,
-                                payload,
-                                bits,
-                                node_id,
-                                pending_mask,
-                            ),
-                        )
-                        if trace is not None:
-                            trace.record(
-                                current_round, "delay", neighbour_id, node_id, payload
-                            )
-                    duplicate_round = outcome.duplicate_round
-                    if duplicate_round is not None:
-                        metrics.messages_duplicated += 1
-                        delayed_seq += 1
-                        heapq.heappush(
-                            delayed,
-                            (
-                                duplicate_round,
-                                delayed_seq,
-                                neighbour_id,
-                                neighbour_port,
-                                payload,
-                                bits,
-                                node_id,
-                                pending_mask,
-                            ),
-                        )
-                        if trace is not None:
-                            trace.record(
-                                current_round,
-                                "duplicate",
-                                neighbour_id,
-                                node_id,
-                                payload,
-                            )
+                            if (
+                                deliver is not None
+                                and outcome.duplicate_round is not None
+                            ):
+                                trace.record(
+                                    current_round,
+                                    "duplicate",
+                                    neighbour_id,
+                                    node_id,
+                                    payload,
+                                )
+                # A sent message is never taken back, so the sender's
+                # counters are added once for all its sends.
+                sender_metrics = runtime.node_metrics
+                sender_metrics.messages_sent += len(pending)
+                sender_metrics.bits_sent += sent_bits
+                total_bits += sent_bits
                 runtime.pending_sends = {}
 
-            # Phase B: local computation (see _run_fast; plus observer feeds).
+            # Phase B: local computation.  Resume every awake node with its
+            # inbox; it either terminates or schedules its next awake round.
+            total_awake_rounds += len(awake_now)
             for node_id in awake_now:
                 runtime = runtimes[node_id]
                 node_metrics = runtime.node_metrics
@@ -691,29 +585,40 @@ class SleepingSimulator:
                 node_metrics.awake_rounds = awake
                 if awake > max_awake_running:
                     max_awake_running = awake
-                metrics.total_awake_rounds += 1
-                awake_events += 1
-                runtime.last_awake_round = current_round
                 if observed:
-                    runtime.context.obs.charge_awake(current_round)
-                if trace is not None:
-                    trace.record(current_round, "wake", node_id)
-                if knowledge is not None:
-                    knowledge.absorb(node_id, received_masks[node_id])
-                    knowledge.note_awake(node_id)
-                self._advance_protocol(
-                    node_id,
-                    runtime,
-                    inboxes[node_id],
-                    current_round,
-                    results,
-                    metrics,
-                    wakeups,
-                )
+                    if runtime.context.obs is not None:
+                        runtime.context.obs.charge_awake(current_round)
+                    if trace is not None:
+                        trace.record(current_round, "wake", node_id)
+                    if knowledge is not None:
+                        knowledge.absorb(node_id, received_masks.pop(node_id, ()))
+                        knowledge.note_awake(node_id)
+                inbox = inboxes.pop(node_id, None)
+                try:
+                    finished, value = run_protocol_step(
+                        runtime.protocol, {} if inbox is None else inbox
+                    )
+                except (ProtocolViolation, CongestViolation):
+                    raise
+                except Exception as error:  # noqa: BLE001 - wrapped deliberately
+                    node_obs = runtime.context.obs
+                    span = (
+                        node_obs.take_crash_label() if node_obs is not None else None
+                    )
+                    raise NodeCrashed(
+                        node_id, current_round, error, span=span
+                    ) from error
+                if finished:
+                    self._finish_node(
+                        node_id, runtime, value, current_round, results, metrics
+                    )
+                else:
+                    accept_action(node_id, runtime, value, current_round)
+                    heappush(wakeups, (value.round, node_id))
 
-            if awake_events > self.max_awake_events:
+            if total_awake_rounds > max_awake_events:
                 raise SimulationLimitExceeded(
-                    f"exceeded max_awake_events={self.max_awake_events}; "
+                    f"exceeded max_awake_events={max_awake_events}; "
                     "a protocol is probably not terminating"
                 )
 
@@ -722,74 +627,29 @@ class SleepingSimulator:
         # so sends are always conserved as delivered + lost + dropped
         # (duplicated copies add to the delivered/lost side only).
         while delayed:
-            (
-                arrive_round,
-                _,
-                receiver_id,
-                _receiver_port,
-                payload,
-                _bits,
-                sender_id,
-                _mask,
-            ) = heapq.heappop(delayed)
-            metrics.messages_lost += 1
+            arrive_round, _, receiver_id, _, payload, _, sender_id, _ = heappop(
+                delayed
+            )
+            messages_lost += 1
             runtimes[receiver_id].node_metrics.messages_lost_as_receiver += 1
             if trace is not None:
                 trace.record(arrive_round, "lose", receiver_id, sender_id, payload)
 
         metrics.rounds = last_round
+        metrics.total_awake_rounds = total_awake_rounds
+        metrics.messages_delivered = messages_delivered
+        metrics.messages_lost = messages_lost
+        metrics.messages_dropped = messages_dropped
+        metrics.messages_delayed = messages_delayed
+        metrics.messages_duplicated = messages_duplicated
+        metrics.total_bits = total_bits
+        metrics.max_message_bits = max_message_bits
+        metrics.congest_violations = congest_violations
         metrics.max_awake_running = max_awake_running
 
     # ------------------------------------------------------------------
     # Helpers
     # ------------------------------------------------------------------
-
-    def _pop_round(
-        self, wakeups: List[Tuple[int, int]], awake_now: List[int]
-    ) -> int:
-        """Round-header bookkeeping shared by both loops.
-
-        Pops every wake-up scheduled for the next populated round into
-        ``awake_now`` (cleared first) and returns that round number,
-        enforcing ``max_rounds``.
-        """
-        current_round = wakeups[0][0]
-        if self.max_rounds is not None and current_round > self.max_rounds:
-            raise SimulationLimitExceeded(
-                f"round {current_round} exceeds max_rounds={self.max_rounds}"
-            )
-        awake_now.clear()
-        heappop = heapq.heappop
-        while wakeups and wakeups[0][0] == current_round:
-            awake_now.append(heappop(wakeups)[1])
-        return current_round
-
-    def _advance_protocol(
-        self,
-        node_id: int,
-        runtime: _NodeRuntime,
-        inbox: Dict[int, Any],
-        current_round: int,
-        results: Dict[int, Any],
-        metrics: Metrics,
-        wakeups: List[Tuple[int, int]],
-    ) -> None:
-        """Phase B tail shared by both loops: step, wrap crashes, reschedule."""
-        try:
-            finished, value = run_protocol_step(runtime.protocol, inbox)
-        except (ProtocolViolation, CongestViolation):
-            raise
-        except Exception as error:  # noqa: BLE001 - wrapped deliberately
-            obs = runtime.context.obs
-            span = obs.take_crash_label() if obs is not None else None
-            raise NodeCrashed(node_id, current_round, error, span=span) from error
-        if finished:
-            self._finish_node(
-                node_id, runtime, value, current_round, results, metrics
-            )
-        else:
-            self._accept_action(node_id, runtime, value, current_round)
-            heapq.heappush(wakeups, (value.round, node_id))
 
     def _crash_node(
         self,
@@ -804,7 +664,6 @@ class SleepingSimulator:
         the node never reports a result — downstream output validation is
         what notices the hole (see :func:`repro.graphs.verify_or_diagnose`).
         """
-        runtime.finished = True
         runtime.pending_sends = {}
         metrics.nodes_crashed += 1
         metrics.crashed_nodes[node_id] = current_round
@@ -853,7 +712,6 @@ class SleepingSimulator:
         results: Dict[int, Any],
         metrics: Metrics,
     ) -> None:
-        runtime.finished = True
         results[node_id] = value
         metrics.node(node_id).terminated_round = current_round
         if self.trace is not None:

@@ -106,12 +106,12 @@ class ChannelModel:
 
     Subclasses override :meth:`deliver` (and optionally
     :meth:`crash_round`).  ``is_perfect`` is a class-level flag: when true
-    *and* no observers are attached, the engine keeps its inlined
-    fast-path round loop, so the default configuration pays nothing for
-    this layer's existence.
+    the engine's round loop applies the sleeping rule inline instead of
+    calling :meth:`deliver` once per message.
     """
 
-    #: True only for :class:`PerfectChannel`: enables the engine fast path.
+    #: True only for :class:`PerfectChannel`: the engine decides delivery
+    #: inline, and the array engine accepts the channel.
     is_perfect = False
 
     def reset(self, node_ids: Sequence[int], rng: Random) -> None:

@@ -17,8 +17,8 @@ drop count, so a truncated recording is self-describing.
 
 Appends are best-effort telemetry — an unwritable disk degrades to
 counting drops, never to failing the job.  Reads go through
-:func:`load_flight_events`, which (like ``RunStore.load``) skips torn
-trailing lines from a crashed writer.
+:func:`load_flight_events`, which shares ``RunStore.load``'s reader: torn
+trailing lines from a crashed writer are skipped and counted.
 """
 
 from __future__ import annotations
@@ -27,7 +27,9 @@ import json
 import threading
 import time
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Union
+from typing import Any, Callable, Dict, Optional, Union
+
+from repro.jsonl import JsonlLines, read_jsonl
 
 #: Default per-job event cap.  Generous for real grids (a 1000-cell grid
 #: emits ~2 events per cell) while bounding the file for runaway ones.
@@ -109,21 +111,10 @@ class FlightRecorder:
         return self._seq
 
 
-def load_flight_events(path: Union[str, Path]) -> List[Dict[str, Any]]:
-    """Read a flight file; tolerate (skip) torn or malformed lines."""
-    target = Path(path)
-    events: List[Dict[str, Any]] = []
-    if not target.exists():
-        return events
-    with open(target, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                payload = json.loads(line)
-            except ValueError:
-                continue  # torn write from a crashed daemon
-            if isinstance(payload, dict):
-                events.append(payload)
-    return events
+def load_flight_events(path: Union[str, Path]) -> JsonlLines:
+    """Read a flight file's events, in order.
+
+    Torn or non-object lines are skipped and counted in the result's
+    ``skipped_lines`` (see :func:`repro.jsonl.read_jsonl`).
+    """
+    return read_jsonl(path)

@@ -136,6 +136,17 @@ class TestMonitorExpansion:
         assert "mis-independence" in mis_set.names
         assert "mis-independence" not in mst_set.names
 
+    def test_mis_runner_expands_all_to_the_mis_monitors(self):
+        from repro.problems import run_sleeping_mis
+
+        graph = GRAPH_FAMILIES["gnp"](16, 0, None)
+        result = run_sleeping_mis(graph, seed=0, monitors="all")
+        expected = build_monitor_set("all", problem="mis").names
+        assert result.monitors.names == expected
+        assert "mis-independence" in result.monitors.names
+        assert result.monitors.report.checks_run > 0
+        assert result.violations == []
+
     def test_explicit_mis_monitor_attachable_by_name(self):
         # Subset specs normalize to registry order, problem-independent.
         monitor_set = build_monitor_set("mis-independence,congest-bit-budget")

@@ -1,13 +1,14 @@
-"""Regression tests for the specialized engine loops.
+"""Regression tests for the engine's round loop.
 
-Covers the hot-path PR's invariants:
+Covers the hot-path invariants:
 
 * ``metrics.rounds`` is assigned once, from the final populated round, and
   equals the last node's termination round on staggered wake-up schedules;
 * the engine maintains ``Metrics.max_awake_running`` incrementally and it
   always equals the O(n) recomputation;
-* the observer-free fast path and the general (trace/knowledge/observe)
-  path produce byte-identical results and metrics.
+* observers (trace, knowledge, observe) never change a run: results and
+  metrics are byte-identical with and without them, on the perfect
+  channel and under every fault channel.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import json
 import pytest
 
 from repro.graphs import path_graph, random_connected_graph, ring_graph
-from repro.sim import Awake, simulate
+from repro.sim import Awake, parse_channel_spec, simulate
 
 
 def staggered_protocol(ctx):
@@ -37,6 +38,29 @@ def chatter_protocol(ctx):
         inbox = yield Awake(2 * i + node_id % 2, ctx.broadcast(("c", node_id, i)))
         total += len(inbox)
     return total
+
+
+def long_chatter_protocol(ctx):
+    """Loss-tolerant chatter up to round ~90, late enough for crash:1@40."""
+    node_id = ctx.node_id
+    total = 0
+    for i in range(1, 16 + node_id % 3):
+        inbox = yield Awake(5 * i + node_id % 2, ctx.broadcast(("c", node_id, i)))
+        total += len(inbox)
+    return total
+
+
+ALL_OBSERVERS = {"trace": True, "observe": True, "track_knowledge": True}
+
+
+def _observable(result):
+    """Everything a run reports that observers must not change."""
+    return (
+        json.dumps(result.metrics.summary(), sort_keys=True),
+        {node: stats.as_dict() for node, stats in result.metrics.per_node.items()},
+        result.metrics.crashed_nodes,
+        result.node_results,
+    )
 
 
 class TestRoundsAssignment:
@@ -88,7 +112,12 @@ class TestRunningMaxAwake:
 
 
 class TestFastGeneralEquivalence:
-    """The two loop specializations must be observationally identical."""
+    """Observers never change a run, on any channel.
+
+    Named for the two loop specializations the engine once had; every run
+    now shares one loop, and these cases pin that attaching observers
+    changes nothing a run reports.
+    """
 
     @pytest.mark.parametrize(
         "observers",
@@ -136,3 +165,41 @@ class TestFastGeneralEquivalence:
         general = run_randomized_mst(graph, seed=2, observe=True, trace=True)
         assert fast.mst_weights == general.mst_weights
         assert fast.metrics.summary() == general.metrics.summary()
+
+    @pytest.mark.parametrize(
+        "faults, counter",
+        [
+            ("drop:0.05", "messages_dropped"),
+            ("delay:2", "messages_delayed"),
+            ("dup:0.1", "messages_duplicated"),
+            ("crash:1@40", "nodes_crashed"),
+        ],
+    )
+    def test_observers_never_change_a_faulted_run(self, faults, counter):
+        graph = random_connected_graph(20, seed=3)
+
+        def run(**observers):
+            return simulate(
+                graph,
+                long_chatter_protocol,
+                seed=4,
+                channel=parse_channel_spec(faults),
+                **observers,
+            )
+
+        plain = run()
+        observed = run(**ALL_OBSERVERS)
+        assert plain.metrics.summary()[counter] > 0
+        assert _observable(plain) == _observable(observed)
+
+    def test_observers_never_change_a_monitored_run(self):
+        from repro.core import run_randomized_mst
+
+        graph = random_connected_graph(24, seed=5)
+        plain = run_randomized_mst(graph, seed=1, monitors="all")
+        observed = run_randomized_mst(
+            graph, seed=1, monitors="all", **ALL_OBSERVERS
+        )
+        assert plain.monitors.report.checks_run > 0
+        assert _observable(plain.simulation) == _observable(observed.simulation)
+        assert plain.violations == observed.violations == []

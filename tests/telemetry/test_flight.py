@@ -82,7 +82,9 @@ class TestFlightRecorder:
 
 class TestLoadFlightEvents:
     def test_missing_file_is_empty(self, tmp_path):
-        assert load_flight_events(tmp_path / "nope.ndjson") == []
+        events = load_flight_events(tmp_path / "nope.ndjson")
+        assert events == []
+        assert events.skipped_lines == 0
 
     def test_torn_trailing_line_is_skipped(self, tmp_path):
         target = tmp_path / "j.events.ndjson"
@@ -94,9 +96,11 @@ class TestLoadFlightEvents:
         events = load_flight_events(target)
         assert len(events) == 1
         assert events[0]["event"] == "submitted"
+        assert events.skipped_lines == 1
 
     def test_non_object_lines_are_skipped(self, tmp_path):
         target = tmp_path / "j.events.ndjson"
         target.write_text('42\n{"seq": 0, "event": "submitted"}\n\n')
         events = load_flight_events(target)
         assert [event["event"] for event in events] == ["submitted"]
+        assert events.skipped_lines == 1
