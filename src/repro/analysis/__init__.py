@@ -1,13 +1,6 @@
 """Analysis and experiment harness: fits, tables, ablations, energy model."""
 
 from .ablation import PhaseStats, boruvka_merge_structure, worst_merge_diameter
-from .compare import (
-    COMPARE_SCHEMA,
-    generate_problem_comparison,
-    load_comparison,
-    render_comparison,
-    write_comparison,
-)
 from .complexity import (
     MODELS,
     ScalingFit,
@@ -33,15 +26,6 @@ from .stats import (
     sample_std,
     summarize,
 )
-from .sweep import (
-    FAMILIES,
-    SweepPoint,
-    fit_sweep,
-    points_from_records,
-    run_sweep,
-    to_csv,
-    to_markdown,
-)
 from .timeline import Timeline, awake_timeline
 from .tables import (
     ALGORITHMS,
@@ -61,8 +45,6 @@ from .walkthrough import (
 
 __all__ = [
     "ALGORITHMS",
-    "COMPARE_SCHEMA",
-    "FAMILIES",
     "ContractionReport",
     "EnergyModel",
     "FitBand",
@@ -80,7 +62,6 @@ __all__ = [
     "PhaseSnapshot",
     "PhaseStats",
     "ScalingFit",
-    "SweepPoint",
     "Table1",
     "Walkthrough",
     "best_model",
@@ -90,27 +71,18 @@ __all__ = [
     "doubling_ratios",
     "fit_records",
     "fit_scaling",
-    "fit_sweep",
     "mean",
     "percentile",
     "render_fit",
     "sample_std",
     "seed_level_fit",
     "summarize",
-    "generate_problem_comparison",
     "generate_table1",
     "geometric_mean",
-    "load_comparison",
     "phase_history",
-    "points_from_records",
-    "render_comparison",
     "render_table",
     "run_merging_walkthrough",
-    "run_sweep",
     "table1_from_records",
     "table1_from_store",
-    "to_csv",
-    "to_markdown",
     "worst_merge_diameter",
-    "write_comparison",
 ]

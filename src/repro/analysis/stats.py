@@ -1,10 +1,9 @@
 """Shared descriptive statistics for every analysis layer.
 
-Per-seed aggregation (mean / std / confidence intervals) used to be
-re-implemented inline wherever a module averaged repeated measurements —
-:mod:`repro.analysis.randomized_stats`, :mod:`repro.analysis.compare`,
-the sweep fitter.  This module is the one home for those helpers, and the
-campaign fit layer (:mod:`repro.analysis.fits`) builds its bootstrap
+Per-seed aggregation (mean / std / confidence intervals) for every
+module that averages repeated measurements —
+:mod:`repro.analysis.randomized_stats`, Table 1, the campaign drivers.
+The campaign fit layer (:mod:`repro.analysis.fits`) builds its bootstrap
 confidence bands on the same primitives.
 
 Everything here is deterministic: the bootstrap takes an explicit seed

@@ -45,7 +45,6 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-import tomllib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
@@ -201,20 +200,31 @@ class CampaignSpec:
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> "CampaignSpec":
-        """Load and validate a ``.toml`` or ``.json`` campaign spec."""
+        """Load and validate a ``.toml`` or ``.json`` campaign spec.
+
+        TOML needs the standard library's ``tomllib`` (Python 3.11+); the
+        JSON form of the same spec loads on every supported Python.
+        """
         path = Path(path)
+        parse = json.load
+        if path.suffix == ".toml":
+            try:
+                import tomllib
+            except ImportError:
+                raise CampaignSpecError(
+                    f"cannot read campaign spec {path}: TOML specs need "
+                    "Python 3.11+ (tomllib); write the spec as JSON instead"
+                ) from None
+            parse = tomllib.load
         try:
-            if path.suffix == ".toml":
-                with open(path, "rb") as handle:
-                    payload = tomllib.load(handle)
-            else:
-                with open(path, "r", encoding="utf-8") as handle:
-                    payload = json.load(handle)
+            with open(path, "rb") as handle:
+                payload = parse(handle)
         except OSError as error:
             raise CampaignSpecError(
                 f"cannot read campaign spec {path}: {error}"
             ) from error
-        except (tomllib.TOMLDecodeError, json.JSONDecodeError) as error:
+        except ValueError as error:
+            # TOMLDecodeError and JSONDecodeError are both ValueErrors.
             raise CampaignSpecError(
                 f"cannot parse campaign spec {path}: {error}"
             ) from error

@@ -38,12 +38,8 @@ Subcommands
     Run one algorithm with the paper's invariant monitors attached
     (:mod:`repro.invariants`) and report which lemma-level invariants
     held; with ``--faults`` the report names the *first* invariant the
-    injected faults broke.  ``--sweep`` runs a small perfect-channel
-    grid and asserts that no monitor fires anywhere.
-``compare``
-    Run every registered problem bundle (MST's O(log n)-awake protocol,
-    MIS's O(log log n)-awake protocol) over the same grid and print the
-    normalized awake-complexity table — the problem-zoo artifact.
+    injected faults broke.  Monitored grids run as ``batch --monitors``
+    or as campaign grids (``examples/campaigns/ci.toml``).
 ``table1``
     Regenerate Table 1 across sizes and print the fitted constants.
 ``experiments``
@@ -56,10 +52,8 @@ Examples::
 
     python -m repro.cli run --algorithm randomized --graph ring --n 64
     python -m repro.cli run --problem mis --n 64 --monitors all
-    python -m repro.cli compare --sizes 64 256 --seeds 2
     python -m repro.cli check --algorithm randomized --n 24 \
         --faults drop:0.02 --json
-    python -m repro.cli check --sweep --sizes 8 16 --seed-range 2
     python -m repro.cli trace --algorithm randomized --n 64 \
         --output trace.json
     python -m repro.cli run --algorithm deterministic --coloring log-star \
@@ -69,6 +63,8 @@ Examples::
         --families ring gnp --sizes 16 32 --seeds 3 --workers 4
     python -m repro.cli campaign run examples/campaigns/crossover.toml \
         --workers 4
+    python -m repro.cli campaign run examples/campaigns/compare.toml \
+        --output PROBLEMS_compare.json
     python -m repro.cli serve --port 8732 --root /tmp/repro-service
     python -m repro.cli submit --url http://127.0.0.1:8732 \
         --families ring --sizes 16 --seeds 3 --wait
@@ -438,7 +434,15 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    from repro.invariants import resolve_monitor_spec
+    """One monitored cell: run, diagnose, report what broke first.
+
+    Exit code: on the perfect channel a violation (or a wrong tree) is a
+    failure; under ``--faults`` the report itself is the product — broken
+    invariants are the expected outcome, so the exit code only signals
+    operational errors.
+    """
+    from repro.graphs import verify_or_diagnose
+    from repro.invariants import build_monitor_set, resolve_monitor_spec
 
     try:
         spec = resolve_monitor_spec(args.monitors)
@@ -451,29 +455,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.sweep:
-        return _check_sweep(args, spec)
-    return _check_single(args, spec)
-
-
-def _emit_check_payload(args: argparse.Namespace, payload: dict) -> None:
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, sort_keys=True, indent=2)
-    if args.json:
-        print(json.dumps(payload, sort_keys=True))
-
-
-def _check_single(args: argparse.Namespace, spec: str) -> int:
-    """One monitored cell: run, diagnose, report what broke first.
-
-    Exit code: on the perfect channel a violation (or a wrong tree) is a
-    failure; under ``--faults`` the report itself is the product — broken
-    invariants are the expected outcome, so the exit code only signals
-    operational errors.
-    """
-    from repro.graphs import verify_or_diagnose
-    from repro.invariants import build_monitor_set
 
     problem = _effective_problem(args)
     algorithm_label = args.algorithm
@@ -520,7 +501,11 @@ def _check_single(args: argparse.Namespace, spec: str) -> int:
         "crashed_nodes": list(diagnosis.crashed_nodes),
         "report": report.to_dict(),
     }
-    _emit_check_payload(args, payload)
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as handle:
+            json.dump(payload, handle, sort_keys=True, indent=2)
+    if args.json:
+        print(json.dumps(payload, sort_keys=True))
     perfect_ok = diagnosis.outcome == "correct" and report.ok()
     if not args.json:
         print(f"algorithm        : {algorithm_label}")
@@ -553,129 +538,6 @@ def _check_single(args: argparse.Namespace, spec: str) -> int:
     if faults is not None:
         return 0
     return 0 if perfect_ok else 1
-
-
-def _check_sweep(args: argparse.Namespace, spec: str) -> int:
-    """Perfect-channel seed sweep: assert no monitor fires anywhere.
-
-    This is the CI smoke gate behind the monitors: every cell must be a
-    correct MST, run a positive number of invariant checks, and record
-    zero violations.
-    """
-    from repro.invariants import build_monitor_set
-
-    problem = getattr(args, "problem", "mst") or "mst"
-    algorithms = list(args.algorithms)
-    if problem == "mis" and algorithms == ["randomized", "deterministic"]:
-        # The MST default algorithm pair makes no sense on the MIS axis;
-        # sweep the one MIS protocol unless the user picked explicitly.
-        algorithms = ["mis"]
-    cells = []
-    failed = 0
-    total_checks = 0
-    total_violations = 0
-    for family in args.families:
-        for n in args.sizes:
-            for seed in range(args.seed_range):
-                for algorithm in algorithms:
-                    cell_problem = "mis" if algorithm == "mis" else problem
-                    monitor_set = build_monitor_set(spec, problem=cell_problem)
-                    graph = GRAPH_FAMILIES[family](n, seed, None)
-                    cell_args = argparse.Namespace(
-                        algorithm=algorithm,
-                        seed=seed,
-                        termination="adaptive",
-                        coloring=args.coloring,
-                        problem=cell_problem,
-                    )
-                    result = _dispatch_algorithm(
-                        cell_args, graph, monitors=monitor_set
-                    )
-                    report = monitor_set.finalize()
-                    correct = result.is_correct(graph)
-                    ok = correct and report.ok() and report.checks_run > 0
-                    failed += 0 if ok else 1
-                    total_checks += report.checks_run
-                    total_violations += len(report)
-                    cells.append(
-                        {
-                            "algorithm": algorithm,
-                            "family": family,
-                            "n": n,
-                            "seed": seed,
-                            "correct": correct,
-                            "checks_run": report.checks_run,
-                            "violations": len(report),
-                            "first_invariant": report.first_invariant,
-                            "ok": ok,
-                        }
-                    )
-    payload = {
-        "monitors": spec,
-        "cells": cells,
-        "total_checks": total_checks,
-        "total_violations": total_violations,
-        "failed": failed,
-        "ok": failed == 0,
-    }
-    _emit_check_payload(args, payload)
-    if not args.json:
-        for cell in cells:
-            marker = "ok" if cell["ok"] else "FAILED"
-            first = cell["first_invariant"] or "-"
-            print(
-                f"{cell['algorithm']:<14} {cell['family']:<8} "
-                f"n={cell['n']:<4} seed={cell['seed']:<3} "
-                f"checks={cell['checks_run']:<4} "
-                f"violations={cell['violations']} first={first} {marker}"
-            )
-        print(
-            f"sweep: {len(cells)} cells, {total_checks} checks, "
-            f"{total_violations} violation(s), {failed} failed"
-        )
-        if args.output:
-            print(f"report json      : {args.output}")
-    return 0 if failed == 0 else 1
-
-
-def _cmd_compare(args: argparse.Namespace) -> int:
-    """Side-by-side awake-complexity table across the problem registry.
-
-    Exit code: non-zero when any cell was wrong, any monitor fired, or —
-    with both bundles on the grid — MIS's awake curve failed to grow
-    slower than MST's (the acceptance criterion of the problem zoo).
-    """
-    from repro.analysis import (
-        generate_problem_comparison,
-        render_comparison,
-        write_comparison,
-    )
-
-    try:
-        payload = generate_problem_comparison(
-            sizes=args.sizes,
-            seeds=range(args.seeds),
-            family=args.family,
-            problems=args.problems,
-            monitors=args.monitors,
-        )
-    except ValueError as error:
-        print(str(error), file=sys.stderr)
-        return 2
-    if args.output:
-        write_comparison(payload, args.output)
-    if args.json:
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        print(render_comparison(payload))
-        if args.output:
-            print(f"artifact json    : {args.output}")
-    ok = payload.get("mis_grows_slower", True) and all(
-        data["violations"] == 0
-        and data["correct_cells"] == data["total_cells"]
-        for data in payload["problems"].values()
-    )
-    return 0 if ok else 1
 
 
 def _grid_payload(args: argparse.Namespace) -> dict:
@@ -721,7 +583,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
 
     try:
         specs = grid_from_payload(_grid_payload(args))
-    except ValueError as error:
+    except (OSError, ValueError) as error:
         print(str(error), file=sys.stderr)
         return 2
 
@@ -1109,32 +971,6 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    from repro.analysis import fit_sweep, run_sweep, to_csv, to_markdown
-
-    points = run_sweep(
-        algorithms=args.algorithms,
-        families=args.families,
-        sizes=args.sizes,
-        seeds=list(range(args.seeds)),
-        id_range_factor=args.id_range_factor,
-        workers=args.workers,
-    )
-    rendered = to_csv(points) if args.format == "csv" else to_markdown(points)
-    if args.output:
-        with open(args.output, "w") as handle:
-            handle.write(rendered)
-        print(f"wrote {len(points)} runs to {args.output}")
-    else:
-        print(rendered, end="")
-    for key, fit in sorted(fit_sweep(points).items()):
-        print(
-            f"# {key}: max_awake = {fit.constant:.2f} x log2 n "
-            f"(spread {fit.ratio_spread:.2f})"
-        )
-    return 0
-
-
 def _cmd_walkthrough(_args: argparse.Namespace) -> int:
     from repro.analysis import run_merging_walkthrough
 
@@ -1282,29 +1118,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--faults", default=None, metavar="SPEC",
         help="channel spec for fault injection; the report then names the "
         "first invariant the faults broke",
-    )
-    check_parser.add_argument(
-        "--sweep", action="store_true",
-        help="run a perfect-channel grid instead of one cell and assert "
-        "that no monitor fires anywhere (the CI smoke gate)",
-    )
-    check_parser.add_argument(
-        "--algorithms", nargs="+",
-        default=["randomized", "deterministic"],
-        choices=("randomized", "deterministic", "mis"),
-        help="(--sweep) algorithms to grid over",
-    )
-    check_parser.add_argument(
-        "--families", nargs="+", default=["gnp"],
-        help="(--sweep) graph families to grid over",
-    )
-    check_parser.add_argument(
-        "--sizes", type=int, nargs="+", default=[8, 16, 24],
-        help="(--sweep) graph sizes to grid over",
-    )
-    check_parser.add_argument(
-        "--seed-range", type=int, default=3,
-        help="(--sweep) seeds 0..N-1 per cell",
     )
     check_parser.add_argument(
         "--output", default=None, metavar="PATH",
@@ -1618,41 +1431,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench_parser.add_argument("--quiet", action="store_true")
     bench_parser.set_defaults(func=_cmd_bench)
 
-    compare_parser = subparsers.add_parser(
-        "compare",
-        help="side-by-side awake-complexity table across problem bundles "
-        "(MST vs MIS)",
-    )
-    compare_parser.add_argument(
-        "--sizes", type=int, nargs="+", default=[64, 256, 1024],
-        help="graph sizes per problem (the acceptance grid by default)",
-    )
-    compare_parser.add_argument(
-        "--seeds", type=int, default=3, help="seeds 0..N-1 per (problem, n)"
-    )
-    compare_parser.add_argument(
-        "--family", choices=sorted(GRAPH_FAMILIES), default="gnp"
-    )
-    compare_parser.add_argument(
-        "--problems", nargs="+", default=None, choices=("mst", "mis"),
-        help="problem bundles to compare (default: every registered one)",
-    )
-    compare_parser.add_argument(
-        "--monitors", default=None, metavar="SPEC",
-        help="attach each problem's invariant monitors to every cell "
-        "('all' expands per problem); violation counts enter the artifact",
-    )
-    compare_parser.add_argument(
-        "--output", default=None, metavar="PATH",
-        help="write the comparison artifact JSON "
-        "(schema repro-problems-compare/1)",
-    )
-    compare_parser.add_argument(
-        "--json", action="store_true",
-        help="emit the artifact payload as one JSON object",
-    )
-    compare_parser.set_defaults(func=_cmd_compare)
-
     table_parser = subparsers.add_parser("table1", help="regenerate Table 1")
     table_parser.add_argument("--sizes", type=int, nargs="+", default=[16, 32, 64])
     table_parser.add_argument("--seeds", type=int, default=2)
@@ -1678,24 +1456,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     walkthrough_parser.set_defaults(func=_cmd_walkthrough)
 
-    sweep_parser = subparsers.add_parser(
-        "sweep", help="run an (algorithm x family x n x seed) grid"
-    )
-    sweep_parser.add_argument(
-        "--algorithms", nargs="+", default=["Randomized-MST"]
-    )
-    sweep_parser.add_argument("--families", nargs="+", default=["gnp"])
-    sweep_parser.add_argument("--sizes", type=int, nargs="+", default=[16, 32, 64])
-    sweep_parser.add_argument("--seeds", type=int, default=2)
-    sweep_parser.add_argument("--id-range-factor", type=int, default=None)
-    sweep_parser.add_argument("--workers", type=int, default=1)
-    sweep_parser.add_argument(
-        "--format", choices=("csv", "markdown"), default="csv"
-    )
-    sweep_parser.add_argument(
-        "--output", default=None, help="write to a file instead of stdout"
-    )
-    sweep_parser.set_defaults(func=_cmd_sweep)
     return parser
 
 

@@ -8,7 +8,7 @@ content address used by the result cache and the run store.
 
 :func:`execute_job` is the single place a spec becomes a measurement: it
 builds the graph, runs the algorithm, and returns the flat metrics record
-every consumer (sweep CSVs, Table 1, the batch CLI) shares.  It is a
+every consumer (campaign reports, Table 1, the batch CLI) shares.  It is a
 module-level function so worker processes can pickle it.
 """
 
@@ -141,8 +141,8 @@ def expand_grid(
 ) -> List[JobSpec]:
     """Expand a grid into one :class:`JobSpec` per cell.
 
-    Iteration order matches the historical sweep loop — family, size,
-    seed, algorithm — so exports stay row-compatible.  ``faults`` adds a
+    Iteration order is family, size, seed, algorithm — the row order
+    of every committed grid artifact.  ``faults`` adds a
     channel-spec axis (innermost): each entry is a
     :func:`repro.sim.transport.parse_channel_spec` string; the perfect
     channel (``None``/``"perfect"``) stores no ``faults`` option, so
@@ -287,9 +287,8 @@ def grid_key(specs: Sequence[JobSpec]) -> str:
 def execute_job(spec: JobSpec) -> Dict[str, Any]:
     """Run one job and return its flat, deterministic metrics record.
 
-    The record's fields intentionally match
-    :class:`repro.analysis.sweep.SweepPoint` so sweep exports, store
-    records, and cache entries are interchangeable.
+    Store records, cache entries and campaign reports all carry this
+    one record as ``metrics``, so they are interchangeable.
 
     When the spec carries a ``faults`` option (a channel spec string, see
     :mod:`repro.sim.transport`), the run is executed under that channel,

@@ -1,7 +1,7 @@
 """The single algorithm + graph-family registry.
 
-Every driver that names an algorithm or a graph family — the CLI, the
-sweep framework, Table 1, the batch orchestrator — resolves it here, so
+Every driver that names an algorithm or a graph family — the CLI,
+campaigns, Table 1, the batch orchestrator — resolves it here, so
 the set of runnable things is defined exactly once.  Canonical algorithm
 names are the Table 1 names (``Randomized-MST``, ...); lowercase CLI-style
 aliases (``randomized``, ...) resolve to them.
@@ -45,8 +45,8 @@ from repro.graphs import (
 
 GraphFactory = Callable[[int, int, Optional[int]], WeightedGraph]
 
-#: Graph families available everywhere (CLI ``run``/``sweep``/``batch``,
-#: :mod:`repro.analysis.sweep`, the orchestrator).
+#: Graph families available everywhere (CLI ``run``/``batch``,
+#: campaigns, the orchestrator).
 GRAPH_FAMILIES: Dict[str, GraphFactory] = {
     "ring": lambda n, seed, idr: ring_graph(n, seed=seed, id_range=idr),
     "path": lambda n, seed, idr: path_graph(n, seed=seed, id_range=idr),

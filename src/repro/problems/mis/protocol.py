@@ -41,8 +41,8 @@ guarantees independence, maximality, and termination, at ``1 +
 since the random phases already thinned every neighbourhood).
 
 Awake complexity of a run: ``2 * len(mis_phase_plan(n))`` plus the
-final-slots tail — ``Theta(log log n)`` and measured as such by
-``repro-mst compare`` / ``examples/problem_compare.py``.
+final-slots tail — ``Theta(log log n)`` and measured as such by the
+``examples/campaigns/compare.toml`` campaign (``PROBLEMS_compare.json``).
 """
 
 from __future__ import annotations

@@ -15,17 +15,14 @@ class TestParser:
         assert args.algorithm == "randomized"
         assert args.monitors == "all"
         assert args.faults is None
-        assert not args.sweep
 
-    def test_check_sweep_flags(self):
-        args = build_parser().parse_args(
-            ["check", "--sweep", "--sizes", "8", "16", "--seed-range", "2",
-             "--algorithms", "deterministic"]
-        )
-        assert args.sweep
-        assert args.sizes == [8, 16]
-        assert args.seed_range == 2
-        assert args.algorithms == ["deterministic"]
+    def test_check_sweep_flags(self, capsys):
+        # check runs one cell; monitored grids are campaign grids.
+        for flag in (["--sweep"], ["--sizes", "8"], ["--seed-range", "2"],
+                     ["--algorithms", "deterministic"], ["--families", "gnp"]):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["check", *flag])
+            assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_run_accepts_monitors(self):
         args = build_parser().parse_args(
@@ -81,20 +78,29 @@ class TestCheckSingle:
 
 
 class TestCheckSweep:
-    def test_small_sweep_is_clean(self, capsys):
-        rc = main(["check", "--sweep", "--sizes", "8", "--seed-range", "1",
-                   "--json"])
+    def test_small_sweep_is_clean(self, tmp_path, capsys):
+        # A monitored perfect-channel grid runs as a campaign grid.
+        spec = tmp_path / "sweep.json"
+        spec.write_text(json.dumps({
+            "campaign": {"name": "sweep"},
+            "grids": [{
+                "name": "invariants",
+                "algorithms": ["randomized", "deterministic"],
+                "families": ["gnp"], "sizes": [8], "seeds": 1,
+                "monitors": "all",
+            }],
+        }))
+        rc = main(["campaign", "run", str(spec), "--root", str(tmp_path),
+                   "--no-cache", "--quiet", "--json"])
         assert rc == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["ok"]
-        assert payload["failed"] == 0
-        assert payload["total_violations"] == 0
-        assert payload["total_checks"] > 0
+        grid = json.loads(capsys.readouterr().out)["grids"]["invariants"]
+        assert grid["failed"] == 0
+        assert grid["violations"] == 0
         # gnp x one size x one seed x both algorithms.
-        assert len(payload["cells"]) == 2
-        for cell in payload["cells"]:
-            assert cell["ok"]
-            assert cell["checks_run"] > 0
+        assert len(grid["records"]) == 2
+        for record in grid["records"]:
+            assert record["metrics"]["correct"]
+            assert record["metrics"]["monitor_checks"] > 0
 
 
 class TestRunWithMonitors:

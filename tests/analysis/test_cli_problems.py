@@ -1,12 +1,31 @@
-"""CLI problem axis: --problem on run/check/batch/trace, and ``compare``."""
+"""CLI problem axis: --problem on run/check/batch/trace and campaign grids."""
 
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.cli import build_parser, main
+
+COMPARE_SPEC = (
+    Path(__file__).resolve().parents[2] / "examples" / "campaigns"
+    / "compare.toml"
+)
+
+
+def campaign_json(capsys, tmp_path, grids, *extra):
+    """``campaign run --json`` over a JSON spec; returns (rc, report)."""
+    spec = tmp_path / "spec.json"
+    spec.write_text(
+        json.dumps({"campaign": {"name": "problems"}, "grids": grids})
+    )
+    rc = main(
+        ["campaign", "run", str(spec), "--root", str(tmp_path),
+         "--no-cache", "--quiet", "--json", *extra]
+    )
+    return rc, json.loads(capsys.readouterr().out)
 
 
 class TestParser:
@@ -23,9 +42,13 @@ class TestParser:
         assert args.problem == "mis"
 
     def test_compare_defaults_to_acceptance_grid(self):
-        args = build_parser().parse_args(["compare"])
-        assert args.sizes == [64, 256, 1024]
-        assert args.seeds == 3
+        tomllib = pytest.importorskip("tomllib")
+        with open(COMPARE_SPEC, "rb") as handle:
+            grids = tomllib.load(handle)["grids"]
+        assert [grid.get("problem", "mst") for grid in grids] == ["mst", "mis"]
+        for grid in grids:
+            assert grid["sizes"] == [64, 256, 1024]
+            assert grid["seeds"] == 3
 
     def test_bench_accepts_mis_suite(self):
         args = build_parser().parse_args(["bench", "--suite", "mis"])
@@ -78,18 +101,21 @@ class TestCheck:
         assert payload["outcome"] == "correct"
         assert payload["violations"] == 0
 
-    def test_check_sweep_mis(self, capsys):
-        code = main(
-            [
-                "check", "--sweep", "--problem", "mis",
-                "--sizes", "8", "--seed-range", "2", "--json",
-            ]
+    def test_check_sweep_mis(self, capsys, tmp_path):
+        # A monitored MIS grid runs as a campaign grid.
+        code, report = campaign_json(
+            capsys, tmp_path,
+            [{"name": "mis", "problem": "mis", "algorithms": ["mis"],
+              "families": ["gnp"], "sizes": [8], "seeds": 2,
+              "monitors": "all"}],
         )
-        payload = json.loads(capsys.readouterr().out)
         assert code == 0
-        assert payload["ok"] is True
-        assert [cell["algorithm"] for cell in payload["cells"]] == ["mis"] * 2
-        assert payload["total_violations"] == 0
+        grid = report["grids"]["mis"]
+        assert [r["spec"]["algorithm"] for r in grid["records"]] == [
+            "Sleeping-MIS"
+        ] * 2
+        assert grid["failed"] == 0
+        assert grid["violations"] == 0
 
 
 class TestBatch:
@@ -132,14 +158,16 @@ class TestTrace:
 
 class TestCompare:
     def test_compare_small_grid(self, capsys, tmp_path):
+        # compare.toml's two grids at tiny sizes.
         out_path = tmp_path / "compare.json"
-        code = main(
-            [
-                "compare", "--sizes", "8", "16", "--seeds", "1",
-                "--output", str(out_path), "--json",
-            ]
+        axes = {"algorithms": ["randomized"], "families": ["gnp"],
+                "sizes": [8, 16], "seeds": 1}
+        code, report = campaign_json(
+            capsys, tmp_path,
+            [{"name": "mst", **axes, "engine": "array"},
+             {"name": "mis", **axes, "problem": "mis"}],
+            "--output", str(out_path),
         )
-        payload = json.loads(capsys.readouterr().out)
-        assert code in (0, 1)  # tiny grids may not separate the curves
-        assert set(payload["problems"]) == {"mst", "mis"}
-        assert out_path.exists()
+        assert code == 0
+        assert set(report["grids"]) == {"mst", "mis"}
+        assert json.loads(out_path.read_text()) == report

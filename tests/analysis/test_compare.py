@@ -1,4 +1,4 @@
-"""The cross-problem comparison artifact: generation, rendering, golden copy."""
+"""The MST-vs-MIS comparison: the compare campaign and its committed report."""
 
 from __future__ import annotations
 
@@ -6,94 +6,143 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import (
-    COMPARE_SCHEMA,
-    generate_problem_comparison,
-    load_comparison,
-    render_comparison,
-    write_comparison,
+from repro.analysis import MODELS
+from repro.campaigns import (
+    CampaignSpec,
+    LocalGridExecutor,
+    load_report,
+    render_report,
+    run_campaign,
+    write_report,
 )
+from repro.problems import problem_bundle, problem_names
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 ARTIFACT = REPO_ROOT / "PROBLEMS_compare.json"
 
+#: Mean max awake rounds per size (n = 64, 256, 1024) in the committed
+#: report.
+MEAN_MAX_AWAKE = {
+    "mst": (171.667, 209.0, 301.333),
+    "mis": (10.667, 11.333, 17.667),
+}
+
+
+def mean_curve(records):
+    by_size = {}
+    for record in records:
+        metrics = record["metrics"]
+        by_size.setdefault(metrics["n"], []).append(metrics["max_awake"])
+    return {
+        n: round(sum(values) / len(values), 3)
+        for n, values in sorted(by_size.items())
+    }
+
+
+@pytest.fixture(scope="module")
+def artifact():
+    assert ARTIFACT.exists(), "PROBLEMS_compare.json must be committed"
+    return load_report(ARTIFACT)
+
 
 class TestGenerate:
     @pytest.fixture(scope="class")
-    def payload(self):
-        return generate_problem_comparison(
-            sizes=[8, 16], seeds=[0], monitors="all"
+    def monitored(self, tmp_path_factory):
+        """Both problems on a tiny shared grid, each cell monitored."""
+        axes = {
+            "algorithms": ["randomized"],
+            "families": ["gnp"],
+            "sizes": [8, 16],
+            "seeds": [0],
+            "monitors": "all",
+        }
+        spec = CampaignSpec.from_payload(
+            {
+                "campaign": {"name": "compare-small"},
+                "grids": [
+                    {"name": "mst", **axes},
+                    {"name": "mis", **axes, "problem": "mis"},
+                ],
+            }
         )
+        store = tmp_path_factory.mktemp("compare") / "runs.jsonl"
+        return run_campaign(spec, LocalGridExecutor(store=store))
 
-    def test_covers_every_registered_problem(self, payload):
-        assert payload["schema"] == COMPARE_SCHEMA
-        assert set(payload["problems"]) == {"mst", "mis"}
+    def test_covers_every_registered_problem(self, artifact):
+        problems = {
+            record["spec"].get("problem", "mst")
+            for grid in artifact["grids"].values()
+            for record in grid["records"]
+        }
+        assert problems == set(problem_names())
 
-    def test_curves_carry_normalized_ratios(self, payload):
-        for data in payload["problems"].values():
-            assert [point["n"] for point in data["curve"]] == [8, 16]
-            for point in data["curve"]:
-                assert point["ratio"] == pytest.approx(
-                    point["mean_max_awake"] / point["normalizer"], rel=1e-3
-                )
+    def test_curves_carry_normalized_ratios(self, artifact):
+        # Each curve is fitted against its own problem's bound.
+        for name, fit in artifact["fits"].items():
+            spec = artifact["grids"][fit["grid"]]["records"][0]["spec"]
+            bundle = problem_bundle(spec.get("problem", "mst"))
+            for point in fit["points"]:
+                assert MODELS[fit["model"]](point["n"]) == pytest.approx(
+                    bundle.awake_normalizer(point["n"])
+                ), name
 
-    def test_monitored_cells_record_zero_violations(self, payload):
-        for data in payload["problems"].values():
-            assert data["violations"] == 0
-            assert data["correct_cells"] == data["total_cells"] == 2
-            # monitors="all" forces every cell off the array engine, so
-            # each record carries a monitor verdict.
-            assert all(
-                cell["monitor_checks"] > 0 for cell in data["cells"]
-            )
+    def test_monitored_cells_record_zero_violations(self, monitored):
+        for grid in monitored["grids"].values():
+            assert grid["violations"] == 0
+            assert grid["ok"] == grid["cells"] == 2
+            for record in grid["records"]:
+                assert record["metrics"]["correct"] is True
+                assert record["metrics"]["monitor_checks"] > 0
 
-    def test_render_names_both_bounds(self, payload):
-        table = render_comparison(payload)
-        assert "O(log n)" in table
-        assert "O(log log n)" in table
-        assert "Sleeping-MIS" in table
+    def test_render_names_both_bounds(self, artifact):
+        text = render_report(artifact)
+        assert "x log(n)" in text
+        assert "x loglog(n)" in text
 
-    def test_roundtrip_and_schema_gate(self, payload, tmp_path):
-        path = write_comparison(payload, tmp_path / "compare.json")
-        assert load_comparison(path) == payload
+    def test_roundtrip_and_schema_gate(self, artifact, tmp_path):
+        # The committed bytes are exactly what write_report produces.
+        path = write_report(artifact, tmp_path / "compare.json")
+        assert path.read_bytes() == ARTIFACT.read_bytes()
         bad = tmp_path / "bad.json"
-        bad.write_text('{"schema": "other/9"}')
-        with pytest.raises(ValueError, match="unexpected comparison schema"):
-            load_comparison(bad)
-
-    def test_problem_subset(self):
-        payload = generate_problem_comparison(
-            sizes=[8], seeds=[0], problems=["mis"]
-        )
-        assert set(payload["problems"]) == {"mis"}
-        assert "mis_grows_slower" not in payload
+        bad.write_text('{"schema": "repro-problems-compare/1"}')
+        with pytest.raises(ValueError, match="unexpected campaign report"):
+            load_report(bad)
 
 
 class TestCommittedArtifact:
-    """The acceptance criteria, asserted against the committed JSON."""
-
-    @pytest.fixture(scope="class")
-    def artifact(self):
-        assert ARTIFACT.exists(), "PROBLEMS_compare.json must be committed"
-        return load_comparison(ARTIFACT)
+    """The acceptance criteria, asserted against the committed report."""
 
     def test_acceptance_grid(self, artifact):
-        assert artifact["sizes"] == [64, 256, 1024]
-        assert len(artifact["seeds"]) >= 3
+        for name in ("mst", "mis"):
+            grid = artifact["grids"][name]
+            cells = [
+                (record["spec"]["n"], record["spec"]["seed"])
+                for record in grid["records"]
+            ]
+            assert cells == [
+                (n, seed) for n in (64, 256, 1024) for seed in (0, 1, 2)
+            ]
+            assert mean_curve(grid["records"]) == dict(
+                zip((64, 256, 1024), MEAN_MAX_AWAKE[name])
+            )
 
     def test_mis_grows_strictly_slower(self, artifact):
-        assert artifact["mis_grows_slower"] is True
-        mis = artifact["problems"]["mis"]
-        mst = artifact["problems"]["mst"]
-        assert mis["growth"] < mst["growth"]
+        mst, mis = (
+            list(mean_curve(artifact["grids"][name]["records"]).values())
+            for name in ("mst", "mis")
+        )
+        # Growth over n=64..1024: MIS x1.656 vs MST x1.755.
+        assert round(mis[-1] / mis[0], 3) == 1.656
+        assert round(mst[-1] / mst[0], 3) == 1.755
         # And in absolute terms: by n=1024 the curves are separated by
         # an order of magnitude.
-        assert (
-            10 * mis["curve"][-1]["mean_max_awake"]
-            < mst["curve"][-1]["mean_max_awake"]
-        )
+        assert 10 * mis[-1] < mst[-1]
 
     def test_every_cell_correct(self, artifact):
-        for data in artifact["problems"].values():
-            assert data["correct_cells"] == data["total_cells"]
-            assert data["violations"] == 0
+        assert artifact["summary"] == {
+            "cells": 18, "ok": 18, "failed": 0, "violations": 0
+        }
+        for grid in artifact["grids"].values():
+            assert all(
+                record["metrics"]["correct"] for record in grid["records"]
+            )

@@ -1,113 +1,122 @@
-"""The sweep framework and its exports."""
+"""(algorithm × family × n × seed) grids as campaigns, and their exports."""
 
 from __future__ import annotations
 
+import csv
+import io
+
 import pytest
 
-from repro.analysis import (
-    FAMILIES,
-    fit_sweep,
-    run_sweep,
-    to_csv,
-    to_markdown,
+from repro.campaigns import (
+    CampaignSpec,
+    CampaignSpecError,
+    LocalGridExecutor,
+    ledger_path,
+    run_campaign,
 )
-from repro.analysis.sweep import COLUMNS
-from repro.cli import main as cli_main
+from repro.orchestrator import GRAPH_FAMILIES, load_records
+
+#: The flat columns of a plain MST cell's ``RunRecord.metrics``.
+COLUMNS = {
+    "algorithm", "family", "n", "m", "max_id", "seed", "phases",
+    "max_awake", "mean_awake", "rounds", "awake_round_product",
+    "messages", "bits", "correct",
+}
+
+
+def run_grid(root, fits=(), **grid):
+    """Run one campaign grid under ``root``; returns the report."""
+    spec = CampaignSpec.from_payload(
+        {
+            "campaign": {"name": "sweep"},
+            "grids": [{"name": "g", **grid}],
+            "fits": list(fits),
+        }
+    )
+    executor = LocalGridExecutor(store=ledger_path(root, spec.name))
+    return run_campaign(spec, executor)
+
+
+def metrics(report):
+    return [record["metrics"] for record in report["grids"]["g"]["records"]]
 
 
 class TestRunSweep:
-    def test_grid_shape(self):
-        points = run_sweep(
-            ["Randomized-MST"], ["ring", "path"], [8, 16], [0, 1]
+    def test_grid_shape(self, tmp_path):
+        rows = metrics(
+            run_grid(
+                tmp_path, algorithms=["Randomized-MST"],
+                families=["ring", "path"], sizes=[8, 16], seeds=[0, 1],
+            )
         )
-        assert len(points) == 2 * 2 * 2
-        assert {point.family for point in points} == {"ring", "path"}
+        assert len(rows) == 2 * 2 * 2
+        assert {row["family"] for row in rows} == {"ring", "path"}
 
-    def test_all_correct(self):
-        points = run_sweep(["Randomized-MST"], ["gnp"], [12], [0, 1, 2])
-        assert all(point.correct for point in points)
-
-    def test_unknown_algorithm_rejected(self):
-        with pytest.raises(ValueError, match="unknown algorithm"):
-            run_sweep(["Quantum-MST"], ["ring"], [8], [0])
-
-    def test_unknown_family_rejected(self):
-        with pytest.raises(ValueError, match="unknown family"):
-            run_sweep(["Randomized-MST"], ["hypercube"], [8], [0])
-
-    def test_id_range_factor(self):
-        points = run_sweep(
-            ["Randomized-MST"], ["ring"], [8], [0], id_range_factor=10
+    def test_all_correct(self, tmp_path):
+        rows = metrics(
+            run_grid(
+                tmp_path, algorithms=["Randomized-MST"], families=["gnp"],
+                sizes=[12], seeds=[0, 1, 2],
+            )
         )
-        assert points[0].max_id == 80
+        assert all(row["correct"] for row in rows)
+
+    def test_unknown_algorithm_rejected(self, tmp_path):
+        with pytest.raises(CampaignSpecError, match="unknown algorithm"):
+            run_grid(
+                tmp_path, algorithms=["Quantum-MST"], families=["ring"],
+                sizes=[8], seeds=[0],
+            )
+
+    def test_unknown_family_rejected(self, tmp_path):
+        with pytest.raises(CampaignSpecError, match="unknown family"):
+            run_grid(
+                tmp_path, algorithms=["Randomized-MST"],
+                families=["hypercube"], sizes=[8], seeds=[0],
+            )
+
+    def test_id_range_factor(self, tmp_path):
+        rows = metrics(
+            run_grid(
+                tmp_path, algorithms=["Randomized-MST"], families=["ring"],
+                sizes=[8], seeds=[0], id_range_factor=10,
+            )
+        )
+        assert rows[0]["max_id"] == 80
 
     def test_family_registry_builds_valid_graphs(self):
-        for name, factory in FAMILIES.items():
+        for name, factory in GRAPH_FAMILIES.items():
             graph = factory(12, 0, None)
             assert graph.is_connected(), name
 
 
 class TestExports:
-    @pytest.fixture(scope="class")
-    def points(self):
-        return run_sweep(["Randomized-MST"], ["ring"], [8], [0, 1])
-
-    def test_csv_shape(self, points):
-        lines = to_csv(points).strip().splitlines()
-        assert lines[0] == ",".join(COLUMNS)
-        assert len(lines) == len(points) + 1
+    def test_csv_shape(self, tmp_path):
+        run_grid(
+            tmp_path, algorithms=["Randomized-MST"], families=["ring"],
+            sizes=[8], seeds=[0, 1],
+        )
+        # The CSV recipe of docs/api.md, over the campaign's ledger.
+        rows = [
+            record.metrics
+            for record in load_records(ledger_path(tmp_path, "sweep"))
+            if record.metrics
+        ]
+        out = io.StringIO()
+        writer = csv.DictWriter(out, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
+        lines = out.getvalue().strip().splitlines()
+        assert set(lines[0].split(",")) == COLUMNS
+        assert len(lines) == len(rows) + 1 == 3
         assert all(len(line.split(",")) == len(COLUMNS) for line in lines)
 
-    def test_markdown_shape(self, points):
-        lines = to_markdown(points).strip().splitlines()
-        assert lines[0].startswith("| algorithm |")
-        assert len(lines) == len(points) + 2
-
-    def test_fit_requires_two_sizes(self, points):
-        assert fit_sweep(points) == {}  # single size: nothing to fit
-
-    def test_fit_produces_constants(self):
-        points = run_sweep(["Randomized-MST"], ["ring"], [8, 32], [0])
-        fits = fit_sweep(points)
-        assert "Randomized-MST/ring" in fits
-        assert fits["Randomized-MST/ring"].constant > 0
-
-
-class TestSweepCLI:
-    def test_stdout_csv(self, capsys):
-        code = cli_main(
-            [
-                "sweep",
-                "--algorithms",
-                "Randomized-MST",
-                "--families",
-                "ring",
-                "--sizes",
-                "8",
-                "16",
-                "--seeds",
-                "1",
-            ]
+    def test_fit_produces_constants(self, tmp_path):
+        report = run_grid(
+            tmp_path, algorithms=["Randomized-MST"], families=["ring"],
+            sizes=[8, 32], seeds=[0],
+            fits=[{"name": "awake", "grid": "g", "model": "log"}],
         )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert out.startswith("algorithm,family")
-        assert "# Randomized-MST/ring" in out
-
-    def test_file_output(self, tmp_path, capsys):
-        target = tmp_path / "sweep.csv"
-        code = cli_main(
-            [
-                "sweep",
-                "--families",
-                "path",
-                "--sizes",
-                "8",
-                "--seeds",
-                "1",
-                "--output",
-                str(target),
-            ]
-        )
-        assert code == 0
-        assert target.read_text().startswith("algorithm,family")
+        fit = report["fits"]["awake"]
+        assert [point["n"] for point in fit["points"]] == [8, 32]
+        assert fit["constant"] > 0

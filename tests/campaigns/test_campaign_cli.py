@@ -32,6 +32,7 @@ resamples = 20
 
 @pytest.fixture
 def spec_path(tmp_path):
+    pytest.importorskip("tomllib")
     path = tmp_path / "campaign.toml"
     path.write_text(SPEC_TOML)
     return path
@@ -99,6 +100,7 @@ class TestCampaignCLI:
     def test_bad_spec_exits_two_with_path_in_message(
         self, tmp_path, capsys
     ):
+        pytest.importorskip("tomllib")
         bad = tmp_path / "bad.toml"
         bad.write_text('[campaign]\nname = "x"\n')
         assert campaign("run", bad, tmp_path) == 2

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from repro.cli import main
 from repro.orchestrator import RunStore
 
@@ -112,6 +114,15 @@ class TestBatchCLI:
         )
         assert code == 2
         assert "unknown algorithm" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["batch", "submit"])
+    def test_missing_spec_file_is_a_usage_error(
+        self, command, tmp_path, capsys
+    ):
+        missing = tmp_path / "missing.json"
+        code = main([command, "--spec", str(missing), "--quiet"])
+        assert code == 2
+        assert str(missing) in capsys.readouterr().err
 
 
 class TestRunJSON:
