@@ -76,7 +76,7 @@ import argparse
 import json
 import math
 import sys
-from typing import Optional, Sequence
+from typing import Any, Optional, Sequence
 
 from repro.baselines import run_sleeping_spanning_tree, run_traditional_ghs
 from repro.core import run_deterministic_mst, run_randomized_mst
@@ -669,14 +669,16 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         if args.quiet
         else (lambda message: print(message, file=sys.stderr))
     )
+    client = None
     if args.action == "report":
         # Replay-only: rebuild the report from the ledger, run nothing.
         executor = StoreReplayExecutor(ledger)
     elif args.via_service:
         from repro.service import ServiceClient
 
+        client = ServiceClient(args.via_service)
         executor = ServiceGridExecutor(
-            ServiceClient(args.via_service),
+            client,
             store=ledger,
             timeout=args.timeout,
             log=log,
@@ -696,6 +698,9 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     except MissingRecordsError as error:
         print(str(error), file=sys.stderr)
         return 1
+    finally:
+        if client is not None:
+            client.close()
 
     output = Path(args.output) if args.output else report_path(args.root, spec.name)
     write_report(payload, output)
@@ -754,14 +759,20 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_submit(args: argparse.Namespace) -> int:
-    from repro.service import ServiceClient, ServiceError
+    from repro.service import ServiceClient
 
     try:
         grid = _grid_payload(args)
     except (OSError, ValueError) as error:
         print(str(error), file=sys.stderr)
         return 2
-    client = ServiceClient(args.url)
+    with ServiceClient(args.url) as client:
+        return _submit(client, grid, args)
+
+
+def _submit(client: Any, grid: dict, args: argparse.Namespace) -> int:
+    from repro.service import ServiceError
+
     try:
         submission = client.submit(grid)
     except ServiceError as error:
@@ -1290,7 +1301,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     submit_parser.add_argument(
         "--interval", type=float, default=0.5,
-        help="(--wait) seconds between polls",
+        help="(--wait) longest poll interval in seconds: the gap between "
+        "polls starts at a few milliseconds and doubles up to this",
     )
     submit_parser.add_argument(
         "--json", action="store_true",

@@ -23,9 +23,11 @@ Three pieces, composed thin-to-thick:
     structured access-log record (see :mod:`repro.telemetry`).
 :mod:`repro.service.client`
     :class:`ServiceClient` — ``submit`` / ``poll`` / ``wait`` /
-    ``fetch`` / ``events`` / ``metrics_text``, used by the ``submit``
-    and ``top`` CLI subcommands.  ``wait`` retries transient connection
-    failures with capped exponential backoff.
+    ``fetch`` / ``events`` / ``metrics_text`` over one persistent
+    HTTP/1.1 connection (``close()`` or ``with`` releases it), used by
+    the ``submit`` and ``top`` CLI subcommands and ``campaign
+    --via-service``.  ``wait`` retries transient connection failures
+    with capped exponential backoff.
 
 .. code-block:: python
 
@@ -34,10 +36,11 @@ Three pieces, composed thin-to-thick:
     queue = JobQueue("/tmp/repro-service").start()
     server = build_server(queue, port=0)
     # ... serve_forever on a thread or via `repro-mst serve` ...
-    client = ServiceClient(server.url)
-    job = client.submit({"algorithms": ["randomized"],
-                         "families": ["ring"], "sizes": [16], "seeds": 2})
-    print(client.wait(job["job"])["progress"])
+    with ServiceClient(server.url) as client:
+        job = client.submit({"algorithms": ["randomized"],
+                             "families": ["ring"], "sizes": [16],
+                             "seeds": 2})
+        print(client.wait(job["job"])["progress"])
 """
 
 from .client import ServiceClient, ServiceError

@@ -4,19 +4,35 @@
 the reference consumer for anyone scripting against the service: submit
 a grid, poll its job hash, block until done, fetch the records.  Errors
 come back as :class:`ServiceError` carrying the HTTP status and the
-server's JSON payload — never a raw ``urllib`` traceback.
+server's JSON payload — never a raw ``http.client`` traceback.
+
+Every call goes over one persistent HTTP/1.1 connection, opened on the
+first call and kept until :meth:`ServiceClient.close`.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
+import threading
 import time
-import urllib.error
-import urllib.request
 from typing import Any, Callable, Dict, Mapping, Optional, Tuple
+from urllib.parse import urlsplit
 
 #: Jobs in one of these states have nothing left to wait for.
 FINISHED_STATES = ("done", "failed")
+
+#: :meth:`ServiceClient.wait` sleeps this long after its first unfinished
+#: poll, then twice as long after each further one, up to ``interval_s``.
+FIRST_POLL_INTERVAL_S = 0.005
+
+#: What a server's close of an idle keep-alive connection looks like to
+#: the next request on it: no response at all.
+_STALE_CONNECTION_ERRORS = (
+    http.client.RemoteDisconnected,
+    ConnectionResetError,
+    BrokenPipeError,
+)
 
 
 class ServiceError(RuntimeError):
@@ -34,12 +50,21 @@ class ServiceClient:
 
     .. code-block:: python
 
-        client = ServiceClient("http://127.0.0.1:8732")
-        job = client.submit({"algorithms": ["randomized"],
-                             "families": ["ring"], "sizes": [16],
-                             "seeds": 3})
-        final = client.wait(job["job"])
-        records = client.fetch(job["job"])["records"]
+        with ServiceClient("http://127.0.0.1:8732") as client:
+            job = client.submit({"algorithms": ["randomized"],
+                                 "families": ["ring"], "sizes": [16],
+                                 "seeds": 3})
+            final = client.wait(job["job"])
+            records = client.fetch(job["job"])["records"]
+
+    All calls share one persistent connection, opened lazily and
+    serialized by a lock, so one client may be used from several
+    threads.  When the server has closed a *reused* connection before
+    answering (an idle keep-alive timeout, a daemon restart), the call
+    reconnects and is sent once more; a failure on a fresh connection, or
+    any timeout, raises :class:`ServiceError` with status 0 at once.
+    :meth:`close` (or leaving a ``with`` block) drops the connection; a
+    later call opens a new one.
     """
 
     def __init__(
@@ -62,8 +87,85 @@ class ServiceClient:
         self.retries = max(0, int(retries))
         self.backoff_s = backoff_s
         self.backoff_cap_s = backoff_cap_s
+        url = urlsplit(self.base_url)
+        if url.scheme == "https":
+            self._connection_class: type = http.client.HTTPSConnection
+        elif url.scheme == "http":
+            self._connection_class = http.client.HTTPConnection
+        else:
+            raise ValueError(
+                f"service URL must start with http:// or https://: "
+                f"{base_url!r}"
+            )
+        self._netloc = url.netloc
+        self._path_prefix = url.path
+        self._connection: Optional[http.client.HTTPConnection] = None
+        self._lock = threading.Lock()
 
     # -- transport -----------------------------------------------------
+
+    def close(self) -> None:
+        """Close the persistent connection, if one is open."""
+        with self._lock:
+            self._drop_connection()
+
+    def __enter__(self) -> "ServiceClient":
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        self.close()
+
+    def _drop_connection(self) -> None:
+        if self._connection is not None:
+            self._connection.close()
+            self._connection = None
+
+    def _exchange(
+        self, method: str, path: str, body: Optional[bytes] = None
+    ) -> Tuple[int, bytes]:
+        """One request/response on the persistent connection."""
+        headers: Dict[str, str] = {}
+        if body is not None:
+            headers["Content-Type"] = "application/json"
+        if self.trace_id:
+            headers["X-Trace-Id"] = self.trace_id
+        with self._lock:
+            try:
+                return self._exchange_locked(
+                    method, self._path_prefix + path, body, headers
+                )
+            except (OSError, http.client.HTTPException) as error:
+                # The connection's state is unknown: never reuse it.
+                self._drop_connection()
+                raise ServiceError(
+                    0, {"error": f"service unreachable: {error}"}
+                ) from error
+
+    def _exchange_locked(
+        self,
+        method: str,
+        target: str,
+        body: Optional[bytes],
+        headers: Dict[str, str],
+    ) -> Tuple[int, bytes]:
+        if self._connection is None:
+            self._connection = self._connection_class(
+                self._netloc, timeout=self.timeout_s
+            )
+        connection = self._connection
+        # ``sock`` is None before the first connect and after a reply
+        # that closed the connection; either way the next send connects.
+        reused = connection.sock is not None
+        try:
+            connection.request(method, target, body=body, headers=headers)
+            response = connection.getresponse()
+        except _STALE_CONNECTION_ERRORS:
+            if not reused:
+                raise
+            connection.close()
+            connection.request(method, target, body=body, headers=headers)
+            response = connection.getresponse()
+        return response.status, response.read()
 
     def _request(
         self,
@@ -74,43 +176,8 @@ class ServiceClient:
         data = None
         if payload is not None:
             data = json.dumps(payload, sort_keys=True).encode("utf-8")
-        headers = {"Content-Type": "application/json"}
-        if self.trace_id:
-            headers["X-Trace-Id"] = self.trace_id
-        request = urllib.request.Request(
-            f"{self.base_url}{path}",
-            data=data,
-            method=method,
-            headers=headers,
-        )
-        try:
-            with urllib.request.urlopen(
-                request, timeout=self.timeout_s
-            ) as response:
-                return response.status, self._decode(response.read())
-        except urllib.error.HTTPError as error:
-            return error.code, self._decode(error.read())
-        except urllib.error.URLError as error:
-            raise ServiceError(
-                0, {"error": f"service unreachable: {error.reason}"}
-            ) from error
-
-    def _request_text(self, path: str) -> str:
-        """GET a non-JSON endpoint (``/metrics``) as raw text."""
-        request = urllib.request.Request(
-            f"{self.base_url}{path}", method="GET"
-        )
-        try:
-            with urllib.request.urlopen(
-                request, timeout=self.timeout_s
-            ) as response:
-                return response.read().decode("utf-8", "replace")
-        except urllib.error.HTTPError as error:
-            raise ServiceError(error.code, self._decode(error.read()))
-        except urllib.error.URLError as error:
-            raise ServiceError(
-                0, {"error": f"service unreachable: {error.reason}"}
-            ) from error
+        status, body = self._exchange(method, path, data)
+        return status, self._decode(body)
 
     @staticmethod
     def _decode(body: bytes) -> Dict[str, Any]:
@@ -159,7 +226,10 @@ class ServiceClient:
 
     def metrics_text(self) -> str:
         """GET ``/metrics`` — the raw Prometheus text page."""
-        return self._request_text("/metrics")
+        status, body = self._exchange("GET", "/metrics")
+        if status >= 400:
+            raise ServiceError(status, self._decode(body))
+        return body.decode("utf-8", "replace")
 
     def wait(
         self,
@@ -169,6 +239,12 @@ class ServiceClient:
         on_progress: Optional[Callable[[Dict[str, Any]], None]] = None,
     ) -> Dict[str, Any]:
         """Poll until the job finishes; returns the final snapshot.
+
+        The first unfinished poll is followed by a sleep of
+        :data:`FIRST_POLL_INTERVAL_S`; each further one doubles it, up
+        to ``interval_s``, the longest poll interval.  A short job is
+        thus seen finished soon after it ends, and a long one is polled
+        every ``interval_s``.
 
         ``on_progress`` receives every intermediate snapshot (the CLI
         uses it to stream progress lines).  Raises ``TimeoutError`` if
@@ -184,6 +260,7 @@ class ServiceClient:
             None if timeout_s is None else time.monotonic() + timeout_s
         )
         failures = 0
+        poll_delay = min(interval_s, FIRST_POLL_INTERVAL_S)
         while True:
             try:
                 snapshot = self.poll(job)
@@ -213,7 +290,8 @@ class ServiceClient:
                     f"job {job} still {snapshot.get('status')} "
                     f"after {timeout_s}s"
                 )
-            time.sleep(interval_s)
+            time.sleep(poll_delay)
+            poll_delay = min(interval_s, 2 * poll_delay)
 
     def wait_until_up(
         self, timeout_s: float = 10.0, interval_s: float = 0.1

@@ -62,6 +62,7 @@ MAX_BODY_BYTES = 1 << 20
 
 #: HELP strings for the service metric families served at ``/metrics``.
 METRIC_HELP = {
+    "service.http_connections": "TCP connections accepted.",
     "service.http_requests": "HTTP requests served, by method/endpoint/status.",
     "service.http_request_seconds": "HTTP request handling latency.",
     "service.queue_wait_seconds": "Time jobs spent queued before a drainer picked them up.",
@@ -124,12 +125,25 @@ class ServiceServer(ThreadingHTTPServer):
         host, port = self.server_address[:2]
         return f"http://{host}:{port}"
 
+    def process_request(self, request: Any, client_address: Any) -> None:
+        # Runs on the accept loop's one thread, so no increment is lost.
+        self.queue.registry.counter("service.http_connections").inc()
+        super().process_request(request, client_address)
+
 
 class ServiceHandler(BaseHTTPRequestHandler):
-    """Routes requests to the queue; every response is one JSON object."""
+    """Routes requests to the queue; every response is one JSON object.
+
+    Connections stay open (HTTP/1.1 keep-alive) until the client closes
+    them or a reply carries ``Connection: close``.
+    """
 
     server_version = "repro-service/1"
     protocol_version = "HTTP/1.1"
+    # A reply is written as headers, then body.  With Nagle's algorithm
+    # the body waits for the client's (delayed) ACK of the headers, which
+    # costs a keep-alive client tens of milliseconds per request.
+    disable_nagle_algorithm = True
 
     # Typed accessor: BaseHTTPRequestHandler exposes the server untyped.
     @property
@@ -220,6 +234,8 @@ class ServiceHandler(BaseHTTPRequestHandler):
         trace_id = getattr(self, "_trace_id", None)
         if trace_id:
             self.send_header("X-Trace-Id", trace_id)
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
@@ -314,18 +330,27 @@ class ServiceHandler(BaseHTTPRequestHandler):
         finally:
             self._end()
 
+    def _refuse(self, code: int, message: str) -> None:
+        """Error reply sent before the request body was read.
+
+        It closes the connection: on a kept-alive one the unread body
+        would be parsed as the next request.
+        """
+        self.close_connection = True
+        self._error(code, message)
+
     def _route_post(self) -> None:
         path = urlsplit(self.path).path.rstrip("/")
         if path != "/jobs":
-            self._error(404, f"unknown endpoint {path!r}")
+            self._refuse(404, f"unknown endpoint {path!r}")
             return
         try:
             length = int(self.headers.get("Content-Length") or 0)
         except ValueError:
-            self._error(400, "bad Content-Length header")
+            self._refuse(400, "bad Content-Length header")
             return
         if length <= 0 or length > MAX_BODY_BYTES:
-            self._error(400, f"body must be 1..{MAX_BODY_BYTES} bytes")
+            self._refuse(400, f"body must be 1..{MAX_BODY_BYTES} bytes")
             return
         body = self.rfile.read(length)
         try:

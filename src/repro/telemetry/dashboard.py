@@ -231,28 +231,30 @@ def run_top(
     from repro.service.client import ServiceClient, ServiceError
 
     out = stream if stream is not None else sys.stdout
-    client = ServiceClient(url)
     previous: Optional[Dict[str, Any]] = None
     frame = 0
-    while True:
-        try:
-            sample = collect_top_sample(client.stats(), client.metrics_text())
-        except ServiceError as error:
-            print(f"repro top: {error}", file=sys.stderr)
-            return 2
-        if json_output:
-            print(json.dumps(sample, sort_keys=True), file=out)
-        else:
-            screen = render_top(sample, previous, url=url)
-            if once:
-                print(screen, file=out)
+    with ServiceClient(url) as client:
+        while True:
+            try:
+                sample = collect_top_sample(
+                    client.stats(), client.metrics_text()
+                )
+            except ServiceError as error:
+                print(f"repro top: {error}", file=sys.stderr)
+                return 2
+            if json_output:
+                print(json.dumps(sample, sort_keys=True), file=out)
             else:
-                print(f"{CLEAR_SCREEN}{screen}", file=out, flush=True)
-        previous = sample
-        frame += 1
-        if once or (iterations is not None and frame >= iterations):
-            return 0
-        try:
-            time.sleep(interval_s)
-        except KeyboardInterrupt:
-            return 0
+                screen = render_top(sample, previous, url=url)
+                if once:
+                    print(screen, file=out)
+                else:
+                    print(f"{CLEAR_SCREEN}{screen}", file=out, flush=True)
+            previous = sample
+            frame += 1
+            if once or (iterations is not None and frame >= iterations):
+                return 0
+            try:
+                time.sleep(interval_s)
+            except KeyboardInterrupt:
+                return 0

@@ -32,8 +32,22 @@ def service(tmp_path):
         thread.join(timeout=5)
 
 
+@pytest.fixture
+def closed_clients(monkeypatch):
+    """Base URL of every ``ServiceClient`` closed during the test."""
+    closed = []
+    close = ServiceClient.close
+
+    def recording_close(client):
+        closed.append(client.base_url)
+        close(client)
+
+    monkeypatch.setattr(ServiceClient, "close", recording_close)
+    return closed
+
+
 class TestSubmitCLI:
-    def test_submit_wait_json(self, service, capsys):
+    def test_submit_wait_json(self, service, capsys, closed_clients):
         code = main(
             ["submit", "--url", service.url, *RING_ARGS,
              "--wait", "--json", "--quiet"]
@@ -43,12 +57,14 @@ class TestSubmitCLI:
         assert payload["status"] == "done"
         assert payload["summary"]["failed"] == 0
         assert len(payload["records"]) == 2
+        assert closed_clients == [service.url]
 
     def test_submit_async_then_resubmit_coalesces(self, service, capsys):
         assert main(["submit", "--url", service.url, *RING_ARGS, "--json"]) == 0
         first = json.loads(capsys.readouterr().out)
         assert first["coalesced"] is False
-        ServiceClient(service.url).wait(first["job"], timeout_s=120)
+        with ServiceClient(service.url) as client:
+            client.wait(first["job"], timeout_s=120)
         assert main(["submit", "--url", service.url, *RING_ARGS, "--json"]) == 0
         second = json.loads(capsys.readouterr().out)
         assert second["coalesced"] is True
@@ -75,13 +91,34 @@ class TestSubmitCLI:
         assert "unreachable" in capsys.readouterr().err
 
 
+class TestClientsClose:
+    def test_top_once(self, service, capsys, closed_clients):
+        assert main(["top", "--url", service.url, "--once", "--json"]) == 0
+        assert "requests_total" in json.loads(capsys.readouterr().out)
+        assert closed_clients == [service.url]
+
+    def test_campaign_via_service(self, service, tmp_path, closed_clients):
+        spec = tmp_path / "via.json"
+        spec.write_text(json.dumps({
+            "campaign": {"name": "via"},
+            "grids": [{"name": "g", "algorithms": ["randomized"],
+                       "families": ["ring"], "sizes": [8], "seeds": 2}],
+        }))
+        code = main(
+            ["campaign", "run", str(spec), "--root", str(tmp_path / "c"),
+             "--via-service", service.url, "--quiet"]
+        )
+        assert code == 0
+        assert closed_clients == [service.url]
+
+
 class TestServeDaemon:
     def test_serve_daemon_round_trip(self, tmp_path):
         """Start the real daemon process, talk to it, shut it down."""
         env = dict(os.environ)
         src = os.path.join(os.getcwd(), "src")
         env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-        process = subprocess.Popen(
+        with subprocess.Popen(
             [
                 sys.executable, "-m", "repro.cli", "serve",
                 "--port", "0", "--root", str(tmp_path / "svc"), "--quiet",
@@ -90,27 +127,27 @@ class TestServeDaemon:
             stdout=subprocess.PIPE,
             stderr=subprocess.STDOUT,
             text=True,
-        )
-        try:
-            banner = process.stdout.readline()
-            match = re.search(r"http://[\d.]+:\d+", banner)
-            assert match, f"no URL in serve banner: {banner!r}"
-            client = ServiceClient(match.group(0))
-            client.wait_until_up(timeout_s=30)
+        ) as process:
+            try:
+                banner = process.stdout.readline()
+                match = re.search(r"http://[\d.]+:\d+", banner)
+                assert match, f"no URL in serve banner: {banner!r}"
+                with ServiceClient(match.group(0)) as client:
+                    client.wait_until_up(timeout_s=30)
 
-            grid = {
-                "algorithms": ["randomized"],
-                "families": ["ring"],
-                "sizes": [8],
-                "seeds": 2,
-            }
-            first = client.submit(grid)
-            final = client.wait(first["job"], timeout_s=120)
-            assert final["status"] == "done"
-            second = client.submit(grid)
-            assert second["coalesced"] is True
-            records = client.fetch(first["job"])["records"]
-            assert len(records) == 2
-        finally:
-            process.terminate()
-            process.wait(timeout=15)
+                    grid = {
+                        "algorithms": ["randomized"],
+                        "families": ["ring"],
+                        "sizes": [8],
+                        "seeds": 2,
+                    }
+                    first = client.submit(grid)
+                    final = client.wait(first["job"], timeout_s=120)
+                    assert final["status"] == "done"
+                    second = client.submit(grid)
+                    assert second["coalesced"] is True
+                    records = client.fetch(first["job"])["records"]
+                    assert len(records) == 2
+            finally:
+                process.terminate()
+                process.wait(timeout=15)

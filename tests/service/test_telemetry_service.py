@@ -47,6 +47,12 @@ def service(tmp_path):
         thread.join(timeout=5)
 
 
+@pytest.fixture
+def client(service):
+    with ServiceClient(service.url) as client:
+        yield client
+
+
 def access_records(caplog):
     return [
         record
@@ -57,10 +63,10 @@ def access_records(caplog):
 
 
 class TestAccessLog:
-    def test_404_produces_exactly_one_access_record(self, service, caplog):
+    def test_404_produces_exactly_one_access_record(self, client, caplog):
         with caplog.at_level(logging.INFO, logger="repro.service.access"):
             with pytest.raises(ServiceError) as excinfo:
-                ServiceClient(service.url).poll("nosuchjob")
+                client.poll("nosuchjob")
         assert excinfo.value.status == 404
         records = [r for r in access_records(caplog) if r.status == 404]
         assert len(records) == 1
@@ -70,10 +76,10 @@ class TestAccessLog:
         assert record.trace_id
 
     def test_202_submission_produces_exactly_one_access_record(
-        self, service, caplog
+        self, client, caplog
     ):
         with caplog.at_level(logging.INFO, logger="repro.service.access"):
-            submission = ServiceClient(service.url).submit(RING_GRID)
+            submission = client.submit(RING_GRID)
         assert submission["coalesced"] is False
         records = [r for r in access_records(caplog) if r.status == 202]
         assert len(records) == 1
@@ -84,9 +90,9 @@ class TestAccessLog:
         assert record.trace_id == submission["trace_id"]
 
     def test_client_trace_header_is_honoured_and_echoed(self, service, caplog):
-        client = ServiceClient(service.url, trace_id="cafecafecafecafe")
-        with caplog.at_level(logging.INFO, logger="repro.service.access"):
-            submission = client.submit(RING_GRID)
+        with ServiceClient(service.url, trace_id="cafecafecafecafe") as client:
+            with caplog.at_level(logging.INFO, logger="repro.service.access"):
+                submission = client.submit(RING_GRID)
         assert submission["trace_id"] == "cafecafecafecafe"
         request = urllib.request.Request(
             f"{service.url}/healthz",
@@ -112,8 +118,7 @@ class TestNormalizeEndpoint:
 
 
 class TestMetricsEndpoint:
-    def test_metrics_page_parses_and_validates(self, service):
-        client = ServiceClient(service.url)
+    def test_metrics_page_parses_and_validates(self, client):
         client.submit(RING_GRID)
         client.wait(grid_key(grid_from_payload(RING_GRID)), timeout_s=120)
         client.submit(RING_GRID)  # coalesced onto the finished job
@@ -145,9 +150,8 @@ class TestMetricsEndpoint:
 
 class TestFlightRecorder:
     def test_events_chain_shares_one_trace_with_access_log(
-        self, service, caplog
+        self, client, caplog
     ):
-        client = ServiceClient(service.url)
         with caplog.at_level(logging.INFO, logger="repro.service.access"):
             submission = client.submit(RING_GRID)
         job = submission["job"]
@@ -175,8 +179,7 @@ class TestFlightRecorder:
         offsets = [event["offset_ms"] for event in payload["events"]]
         assert offsets == sorted(offsets)
 
-    def test_finalized_event_reports_outcome(self, service):
-        client = ServiceClient(service.url)
+    def test_finalized_event_reports_outcome(self, client):
         submission = client.submit(RING_GRID)
         client.wait(submission["job"], timeout_s=120)
         payload = client.events(submission["job"])
@@ -190,13 +193,12 @@ class TestFlightRecorder:
         assert final[0]["executed"] + final[0]["cached"] == 2
         assert final[0]["events_dropped"] == 0
 
-    def test_events_404_for_unknown_job(self, service):
+    def test_events_404_for_unknown_job(self, client):
         with pytest.raises(ServiceError) as excinfo:
-            ServiceClient(service.url).events("nosuchjob")
+            client.events("nosuchjob")
         assert excinfo.value.status == 404
 
-    def test_flight_file_lives_next_to_store(self, service):
-        client = ServiceClient(service.url)
+    def test_flight_file_lives_next_to_store(self, client):
         submission = client.submit(RING_GRID)
         client.wait(submission["job"], timeout_s=120)
         payload = client.events(submission["job"])
@@ -210,10 +212,10 @@ class TestByteIdentity:
         self, service, tmp_path
     ):
         """Full telemetry on: fingerprints match a telemetry-off run_jobs."""
-        client = ServiceClient(service.url, trace_id="feedfacefeedface")
-        submission = client.submit(RING_GRID)
-        client.wait(submission["job"], timeout_s=120)
-        served = client.fetch(submission["job"])["records"]
+        with ServiceClient(service.url, trace_id="feedfacefeedface") as client:
+            submission = client.submit(RING_GRID)
+            client.wait(submission["job"], timeout_s=120)
+            served = client.fetch(submission["job"])["records"]
 
         plain = run_jobs(
             grid_from_payload(RING_GRID),
@@ -234,13 +236,12 @@ class TestByteIdentity:
 
 
 class TestHealthzSkippedLines:
-    def test_torn_store_line_surfaces_in_healthz(self, service):
+    def test_torn_store_line_surfaces_in_healthz(self, service, client):
         queue = service.queue
         job_id = grid_key(grid_from_payload(RING_GRID))
         store = queue.root / "jobs" / f"{job_id}.jsonl"
         store.parent.mkdir(parents=True, exist_ok=True)
         store.write_text('{"torn": ')  # a writer died mid-append
-        client = ServiceClient(service.url)
         assert client.healthz()["store_skipped_lines"] == 0
         client.submit(RING_GRID)
         client.wait(job_id, timeout_s=120)
@@ -272,26 +273,41 @@ class TestClientRetry:
         monkeypatch.setattr(
             "repro.service.client.time.sleep", lambda s: delays.append(s)
         )
-        client = self.make_client([{"status": "done"}], failures=3)
-        assert client.wait("j")["status"] == "done"
+        with self.make_client([{"status": "done"}], failures=3) as client:
+            assert client.wait("j")["status"] == "done"
         # Capped exponential: 0.01, 0.02, then capped at 0.04.
         assert delays == [0.01, 0.02, 0.04]
+
+    @pytest.mark.parametrize(
+        "interval_s, expected",
+        [
+            (0.05, [0.005, 0.01, 0.02, 0.04, 0.05, 0.05]),
+            (0.002, [0.002] * 6),
+        ],
+    )
+    def test_wait_poll_interval_doubles_up_to_interval_s(
+        self, monkeypatch, interval_s, expected
+    ):
+        delays = []
+        monkeypatch.setattr("repro.service.client.time.sleep", delays.append)
+        snapshots = [{"status": "running"}] * 6 + [{"status": "done"}]
+        with self.make_client(snapshots, failures=0) as client:
+            final = client.wait("j", interval_s=interval_s)
+        assert final["status"] == "done"
+        assert delays == expected
 
     def test_wait_gives_up_after_max_consecutive_failures(self, monkeypatch):
         monkeypatch.setattr(
             "repro.service.client.time.sleep", lambda s: None
         )
-        client = self.make_client([], failures=100)
-        with pytest.raises(ServiceError) as excinfo:
-            client.wait("j")
+        with self.make_client([], failures=100) as client:
+            with pytest.raises(ServiceError) as excinfo:
+                client.wait("j")
         assert excinfo.value.status == 0
 
     def test_success_resets_the_failure_budget(self, monkeypatch):
         monkeypatch.setattr(
             "repro.service.client.time.sleep", lambda s: None
-        )
-        client = ServiceClient(
-            "http://127.0.0.1:1", retries=2, backoff_s=0.01
         )
         # fail, fail, running, fail, fail, done — never 3 in a row.
         script = [
@@ -309,29 +325,31 @@ class TestClientRetry:
                 raise step
             return step
 
-        client.poll = fake_poll
-        assert client.wait("j")["status"] == "done"
+        with ServiceClient(
+            "http://127.0.0.1:1", retries=2, backoff_s=0.01
+        ) as client:
+            client.poll = fake_poll
+            assert client.wait("j")["status"] == "done"
 
     def test_http_errors_raise_immediately(self, monkeypatch):
         slept = []
         monkeypatch.setattr(
             "repro.service.client.time.sleep", lambda s: slept.append(s)
         )
-        client = ServiceClient("http://127.0.0.1:1", retries=5)
 
         def fake_poll(job):
             raise ServiceError(404, {"error": "unknown job"})
 
-        client.poll = fake_poll
-        with pytest.raises(ServiceError) as excinfo:
-            client.wait("j")
+        with ServiceClient("http://127.0.0.1:1", retries=5) as client:
+            client.poll = fake_poll
+            with pytest.raises(ServiceError) as excinfo:
+                client.wait("j")
         assert excinfo.value.status == 404
         assert slept == []
 
 
 class TestJsonLogsOverTheWire:
-    def test_snapshot_and_stats_expose_trace_id(self, service):
-        client = ServiceClient(service.url)
+    def test_snapshot_and_stats_expose_trace_id(self, client):
         submission = client.submit(RING_GRID)
         assert submission["trace_id"]
         snapshot = client.poll(submission["job"])
