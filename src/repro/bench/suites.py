@@ -29,8 +29,8 @@ Tiers
     Full ``Sleeping-MIS`` runs (the second problem bundle,
     :mod:`repro.problems.mis`), bare and monitored.  Not smoke — the
     committed ``BENCH_engine.json`` baselines predate the problem
-    registry and pin the smoke suite; CI times this tier in the
-    ``problem-zoo-smoke`` job instead.
+    registry and pin the smoke suite; CI times this tier in its own
+    step of the ``bench-smoke`` job (``--suite mis``).
 ``scale``
     Large-``n`` MST runs pitting the vectorized array backend
     (``engine="array"``, :mod:`repro.core.array_ops`) against the
@@ -357,8 +357,8 @@ BENCHMARKS: Tuple[Benchmark, ...] = (
     # MIS tier is deliberately not smoke (like scale): the per-push bench
     # gate compares against BENCH_engine.json baselines recorded before
     # the problem registry existed, and a smoke-flagged addition would
-    # change the smoke suite those baselines pin.  CI runs it in the
-    # separate problem-zoo-smoke job.
+    # change the smoke suite those baselines pin.  CI times it with
+    # ``--suite mis`` in its own step of the bench-smoke job.
     Benchmark(
         name="mis_sleeping_e2e_n64",
         tier="mis",

@@ -162,7 +162,7 @@ def logstar_coloring(
         ctx,
         ldt,
         clock,
-        {port: (ldt.fragment_id, color) for port in gprime_ports},
+        dict.fromkeys(gprime_ports, (ldt.fragment_id, color)),
         merge=_merge_capped_pairs,
         collect=_collect_pairs,
     )
@@ -195,7 +195,7 @@ def logstar_coloring(
                 ctx,
                 ldt,
                 clock,
-                {port: (ldt.fragment_id, own_final) for port in gprime_ports},
+                dict.fromkeys(gprime_ports, (ldt.fragment_id, own_final)),
                 merge=_merge_capped_pairs,
                 collect=_collect_pairs,
             )

@@ -74,10 +74,11 @@ def merging_fragments(
     # ------------------------------------------------------------------
     # Block 1: announce (fragment, level, merging?) to all neighbours.
     # ------------------------------------------------------------------
-    announcements = {
-        port: (ldt.fragment_id, ldt.level, 1 if port == merge_port else 0)
-        for port in ctx.ports
-    }
+    # One payload object for every staying port and one for merge_port,
+    # so the engine sizes each once.
+    announcements = dict.fromkeys(ctx.ports, (ldt.fragment_id, ldt.level, 0))
+    if merge_port is not None:
+        announcements[merge_port] = (ldt.fragment_id, ldt.level, 1)
     with ctx.span("block:merge_announce"):
         inbox = yield from transmit_adjacent(ctx, ldt, block_ta, announcements)
 
@@ -149,9 +150,7 @@ def merging_fragments(
             if old_children:
                 sends = {}
                 if new_level is not None:
-                    sends = {
-                        port: (new_level, new_fragment) for port in old_children
-                    }
+                    sends = dict.fromkeys(old_children, (new_level, new_fragment))
                 yield Awake(block_down.down_send(old_level), sends)
 
         if new_level is None:

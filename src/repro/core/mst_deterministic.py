@@ -168,7 +168,7 @@ def deterministic_mst_protocol(
                     ctx,
                     ldt,
                     clock.take(),
-                    {port: (ldt.fragment_id, moe_weight) for port in ctx.ports},
+                    dict.fromkeys(ctx.ports, (ldt.fragment_id, moe_weight)),
                 )
             owner_port: Optional[int] = None
             incoming_ports = []
@@ -220,18 +220,20 @@ def deterministic_mst_protocol(
             # --------------------------------------------------------
             # Step (ii): colour the supergraph, then merge Blue fragments.
             # --------------------------------------------------------
-            ctx.probe(
-                "moe_sparsify",
-                phase=phases_run,
-                fragment=ldt.fragment_id,
-                nbr_info=tuple(nbr_info),
-                selected=tuple(
-                    sorted(
-                        (ldt.neighbor_fragment[port], ctx.port_weights[port])
-                        for port in selected
-                    )
-                ),
-            )
+            # Probe snapshots sort; build them only for observed runs.
+            if ctx.obs is not None:
+                ctx.probe(
+                    "moe_sparsify",
+                    phase=phases_run,
+                    fragment=ldt.fragment_id,
+                    nbr_info=tuple(nbr_info),
+                    selected=tuple(
+                        sorted(
+                            (ldt.neighbor_fragment[port], ctx.port_weights[port])
+                            for port in selected
+                        )
+                    ),
+                )
             neighbor_fragments = {entry[0] for entry in nbr_info}
             gprime_ports: Set[int] = set(selected)
             if valid_out:
@@ -255,14 +257,15 @@ def deterministic_mst_protocol(
                         out_port=owner_port if valid_out else None,
                     )
 
-            ctx.probe(
-                "coloring",
-                phase=phases_run,
-                fragment=ldt.fragment_id,
-                color=own_color,
-                nbr_colors=tuple(sorted(_nbr_colors.items())),
-                nbr_fragments=tuple(sorted(neighbor_fragments)),
-            )
+            if ctx.obs is not None:
+                ctx.probe(
+                    "coloring",
+                    phase=phases_run,
+                    fragment=ldt.fragment_id,
+                    color=own_color,
+                    nbr_colors=tuple(sorted(_nbr_colors.items())),
+                    nbr_fragments=tuple(sorted(neighbor_fragments)),
+                )
 
             # Merge #1: Blue fragments with G' neighbours merge into the
             # neighbour on their lightest valid MOE (canonical "arbitrary"

@@ -187,7 +187,7 @@ def randomized_mst_session(
                     ctx,
                     ldt,
                     clock.take(),
-                    {port: (ldt.fragment_id, coin, moe_weight) for port in ctx.ports},
+                    dict.fromkeys(ctx.ports, (ldt.fragment_id, coin, moe_weight)),
                 )
             owner_port: Optional[int] = None
             owner_valid = NOTHING
@@ -248,8 +248,11 @@ def _probe_phase_end(ctx: NodeContext, ldt: LDTState, phase: int) -> None:
     """Snapshot the node's LDT labels for phase-boundary invariant monitors.
 
     Shared by both MST algorithms.  A no-op unless the simulator was built
-    with ``monitors=...`` (see :meth:`repro.sim.node.NodeContext.probe`).
+    with ``monitors=...`` (see :meth:`repro.sim.node.NodeContext.probe`);
+    unobserved runs return before building the snapshot's sorted tuples.
     """
+    if ctx.obs is None:
+        return
     ctx.probe(
         "phase_end",
         phase=phase,

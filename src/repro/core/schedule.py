@@ -30,7 +30,8 @@ round so that blocks have even length ``2n + 2`` and never abut.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
+from typing import Any, Tuple
 
 
 def block_span(n: int) -> int:
@@ -73,16 +74,44 @@ def up_send_offset(n: int, level: int) -> int:
     return 2 * n - level + 2
 
 
-@dataclass(frozen=True)
 class Block:
     """One scheduled block: absolute start round plus the network size.
 
     Provides absolute round numbers for each named offset of a node at a
     given level, so protocol code reads like the paper's prose.
+
+    Immutable and hashable like a frozen dataclass (assignment and
+    deletion raise :class:`dataclasses.FrozenInstanceError`; ``==``,
+    ``hash`` and ``repr`` use both fields), but a plain ``__slots__``
+    class, which is cheaper to construct: every node takes a block per
+    procedure (``docs/performance.md``, "Coroutine hot path").
     """
 
-    start: int
-    n: int
+    __slots__ = ("start", "n")
+
+    def __init__(self, start: int, n: int) -> None:
+        _set_block_start(self, start)
+        _set_block_n(self, n)
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: Any) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.start, self.n) == (other.start, other.n)
+
+    def __hash__(self) -> int:
+        return hash((self.start, self.n))
+
+    def __repr__(self) -> str:
+        return f"Block(start={self.start!r}, n={self.n!r})"
+
+    def __reduce__(self) -> Tuple[Any, ...]:
+        return (Block, (self.start, self.n))
 
     def _absolute(self, offset: int) -> int:
         if not 1 <= offset <= 2 * self.n + 1:
@@ -112,6 +141,12 @@ class Block:
         return self.start + block_span(self.n) - 1
 
 
+# Writing through the slot descriptors skips the raising ``__setattr__``
+# and is cheaper than ``object.__setattr__``.
+_set_block_start = Block.start.__set__  # type: ignore[attr-defined]
+_set_block_n = Block.n.__set__  # type: ignore[attr-defined]
+
+
 class BlockClock:
     """A deterministic allocator of consecutive blocks.
 
@@ -130,7 +165,7 @@ class BlockClock:
 
     def take(self) -> Block:
         """Allocate and return the next block."""
-        block = Block(start=self._next_start, n=self.n)
+        block = Block(self._next_start, self.n)
         self._next_start += self.span
         return block
 

@@ -134,9 +134,12 @@ def transmit_adjacent(
     Every node of every fragment is awake in the same absolute round, so all
     messages between simultaneously-running fragments are delivered.
 
-    Awake cost: exactly 1 round.  Run time: one block.
+    Awake cost: exactly 1 round.  Run time: one block.  ``sends`` is
+    yielded as given: :class:`~repro.sim.SleepingSimulator` copies it
+    when it accepts the action, so a later change by the caller cannot
+    alter the messages.
     """
-    inbox: Inbox = yield Awake(block.side(), dict(sends or {}))
+    inbox: Inbox = yield Awake(block.side(), sends or {})
     return inbox
 
 
@@ -151,7 +154,7 @@ def neighbor_refresh(
     """
     payload = (ldt.fragment_id, ldt.level) + tuple(extra)
     inbox = yield from transmit_adjacent(
-        ctx, ldt, block, {port: payload for port in ctx.ports}
+        ctx, ldt, block, dict.fromkeys(ctx.ports, payload)
     )
     for port, received in inbox.items():
         ldt.record_neighbor(port, received[0], received[1])

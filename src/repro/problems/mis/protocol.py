@@ -139,15 +139,11 @@ def sleeping_mis_protocol(
             marked = ctx.rng.random() < 0.5 ** exponent
             rank = ctx.rng.randrange(ctx.n ** 3) if marked else 0
             if marked:
-                sends = {
-                    port: (1, rank, ctx.node_id) for port in ctx.ports
-                }
+                sends = dict.fromkeys(ctx.ports, (1, rank, ctx.node_id))
             elif t == final_phase:
                 # Census round: survivors must know who else survived (and
                 # their IDs) for the final-slots stage.
-                sends = {
-                    port: (0, 0, ctx.node_id) for port in ctx.ports
-                }
+                sends = dict.fromkeys(ctx.ports, (0, 0, ctx.node_id))
             else:
                 sends = None
             with ctx.span("block:mis_contend"):
@@ -170,9 +166,7 @@ def sleeping_mis_protocol(
                     ctx,
                     ldt,
                     clock.take(),
-                    {port: ("join", ctx.node_id) for port in ctx.ports}
-                    if joining
-                    else None,
+                    ctx.broadcast(("join", ctx.node_id)) if joining else None,
                 )
             if joining:
                 decided, decided_phase = "in", t
@@ -203,8 +197,7 @@ def sleeping_mis_protocol(
                     break
             if decided is None:
                 yield Awake(
-                    base + ctx.node_id - 1,
-                    {port: ("join", ctx.node_id) for port in ctx.ports},
+                    base + ctx.node_id - 1, ctx.broadcast(("join", ctx.node_id))
                 )
                 decided = "in"
 

@@ -36,9 +36,19 @@ it, both proven equivalent by the property tests in
   within one shape's memo every key has identical element classes, so
   payload-equality implies bit-equality.
 
-Payloads containing nested tuples (or any unsupported class) fall back to
-the reference recursion and are never cached, so the fast structures only
-ever hold flat, hashable tuples.
+Payloads containing nested tuples (or any unsupported class), and tuple
+subclasses such as namedtuples, fall back to the reference recursion and
+are never cached, so the fast structures only ever hold flat, hashable
+tuples.
+
+The engine adds one more saving on top of :meth:`CongestPolicy.check`: it
+sizes each payload *object* once per sender per round.  A send whose
+payload ``is`` the previous port's payload reuses that port's bits, so a
+broadcast built with ``dict.fromkeys(ctx.ports, payload)`` (or
+``ctx.broadcast``) costs one ``check`` however many ports it has.  Reuse
+is decided by identity, never by equality, for the same reason the memos
+are routed by shape: ``(1,) == (True,)`` but their sizes differ.  Every
+message is still charged its bits.
 """
 
 from __future__ import annotations
@@ -191,8 +201,6 @@ class CongestPolicy:
         self.strict = strict
         self.factor = factor
         self.budget = congest_budget_bits(universe, factor)
-        #: ``(shape, payload) -> bits`` memo; see the module docstring for
-        #: why the exact element classes are part of the key.
         #: ``shape -> (sizer, payload -> bits memo)``; ``(None, None)``
         #: marks unsupported shapes.  Routing by the exact element-class
         #: tuple means hash-equal payloads of different types (``(1,)`` vs
@@ -240,6 +248,10 @@ class CongestPolicy:
                 cache[payload] = bits
                 self._cache_entries += 1
             return bits
+        if isinstance(payload, tuple):
+            # Tuple subclasses (e.g. namedtuples): reference recursion,
+            # uncached, like nested tuples.
+            return payload_bits(payload)
         return scalar_bits(payload)
 
     def check_strict(self, payload: Any, node_id: int = -1, port: int = -1) -> int:

@@ -63,6 +63,10 @@ from .node import (
 from .tracing import EventTrace, KnowledgeTracker
 from .transport import ChannelModel, PerfectChannel
 
+#: Marks "no payload sized yet" for a sender in the round loop; no
+#: protocol payload is ever this object.
+_UNSIZED: Any = object()
+
 
 @dataclass
 class SimulationResult:
@@ -467,12 +471,19 @@ class SleepingSimulator:
                     continue
                 ports_map = runtime.ports_map
                 sent_bits = 0
+                # A payload object is sized once per sender: a port whose
+                # payload *is* the previous port's reuses its bits.
+                # Identity, not equality, decides: ``(1,) == (True,)``
+                # but their sizes differ.
+                sized = _UNSIZED
                 for port, payload in pending.items():
                     neighbour_id, neighbour_port, _ = ports_map[port]
-                    bits = congest_check(payload)
+                    if payload is not sized:
+                        sized = payload
+                        bits = congest_check(payload)
+                        if bits > max_message_bits:
+                            max_message_bits = bits
                     sent_bits += bits
-                    if bits > max_message_bits:
-                        max_message_bits = bits
                     if bits > congest_budget:
                         congest_violations += 1
                         if congest_strict:

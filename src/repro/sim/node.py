@@ -25,7 +25,7 @@ previous one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass
 from random import Random
 from typing import Any, Callable, Dict, Generator, Mapping, Tuple
 
@@ -53,7 +53,11 @@ Protocol = Generator["Awake", Inbox, Any]
 ProtocolFactory = Callable[["NodeContext"], Protocol]
 
 
-@dataclass(frozen=True)
+#: Default marker for :class:`Awake`'s ``sends``: each listen-only action
+#: gets its own fresh empty dict, as a ``default_factory=dict`` would.
+_NO_SENDS: Any = object()
+
+
 class Awake:
     """One awake round: wake at ``round``, transmitting ``sends``.
 
@@ -65,14 +69,44 @@ class Awake:
     sends:
         Mapping from local port number to payload.  Ports not listed send
         nothing.  An empty mapping (the default) means listen-only.
+
+    Immutable like a frozen dataclass (assignment and deletion raise
+    :class:`dataclasses.FrozenInstanceError`; ``==`` and ``repr`` compare
+    and show both fields), but a plain ``__slots__`` class, which is
+    cheaper to construct: every awake round of every node builds one
+    (``docs/performance.md``, "Coroutine hot path").
     """
 
-    round: int
-    sends: Mapping[int, Any] = field(default_factory=dict)
+    __slots__ = ("round", "sends")
 
-    def __post_init__(self) -> None:
-        if self.round < 1:
-            raise ValueError(f"awake round must be >= 1, got {self.round}")
+    def __init__(self, round: int, sends: Mapping[int, Any] = _NO_SENDS) -> None:
+        if round < 1:
+            raise ValueError(f"awake round must be >= 1, got {round}")
+        _set_awake_round(self, round)
+        _set_awake_sends(self, {} if sends is _NO_SENDS else sends)
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: Any) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.round, self.sends) == (other.round, other.sends)
+
+    def __repr__(self) -> str:
+        return f"Awake(round={self.round!r}, sends={self.sends!r})"
+
+    def __reduce__(self) -> Tuple[Any, ...]:
+        return (Awake, (self.round, self.sends))
+
+
+# Writing through the slot descriptors skips the raising ``__setattr__``
+# and is cheaper than ``object.__setattr__``.
+_set_awake_round = Awake.round.__set__  # type: ignore[attr-defined]
+_set_awake_sends = Awake.sends.__set__  # type: ignore[attr-defined]
 
 
 @dataclass
@@ -155,8 +189,12 @@ class NodeContext:
         return min(self.ports, key=lambda port: self.port_weights[port])
 
     def broadcast(self, payload: Any) -> Dict[int, Any]:
-        """Convenience: a ``sends`` mapping addressing every port."""
-        return {port: payload for port in self.ports}
+        """Convenience: a ``sends`` mapping addressing every port.
+
+        Every port carries the same ``payload`` object, so the engine
+        sizes it once for all of them.
+        """
+        return dict.fromkeys(self.ports, payload)
 
 
 def run_protocol_step(

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import pickle
+from dataclasses import FrozenInstanceError
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -89,8 +92,50 @@ class TestBlock:
         with pytest.raises(ValueError):
             block.down_receive(10)
 
+    def test_rejects_invalid_levels(self):
+        block = Block(start=1, n=3)
+        with pytest.raises(ValueError):
+            block.down_receive(0)
+        with pytest.raises(ValueError):
+            block.up_send(0)
+        with pytest.raises(ValueError):
+            block.down_send(-1)
+
+    def test_positional_and_keyword_construction_agree(self):
+        assert Block(100, 5) == Block(start=100, n=5)
+
+    def test_equality_and_hash(self):
+        assert Block(1, 3) == Block(1, 3)
+        assert Block(1, 3) != Block(9, 3)
+        assert Block(1, 3) != Block(1, 4)
+        assert Block(1, 3) != (1, 3)
+        assert hash(Block(1, 3)) == hash(Block(1, 3)) == hash((1, 3))
+        assert len({Block(1, 3), Block(1, 3), Block(9, 3)}) == 2
+
+    def test_repr(self):
+        assert repr(Block(start=100, n=5)) == "Block(start=100, n=5)"
+
+    def test_frozen(self):
+        block = Block(start=1, n=3)
+        with pytest.raises(FrozenInstanceError):
+            block.start = 2
+        with pytest.raises(FrozenInstanceError):
+            block.n = 4
+        with pytest.raises(FrozenInstanceError):
+            del block.start
+        assert block == Block(1, 3)
+
+    def test_pickle_round_trip(self):
+        block = Block(start=8, n=3)
+        assert pickle.loads(pickle.dumps(block)) == block
+
 
 class TestBlockClock:
+    def test_take_builds_the_same_block_as_keywords(self):
+        clock = BlockClock(n=4, start=3)
+        assert clock.take() == Block(start=3, n=4)
+        assert clock.take() == Block(start=3 + block_span(4), n=4)
+
     def test_consecutive_blocks_abut(self):
         clock = BlockClock(n=4)
         first, second = clock.take(), clock.take()

@@ -8,6 +8,7 @@ the cache structures behave (bounded, type-exact despite Python's
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 
 import pytest
 from hypothesis import example, given, settings
@@ -32,6 +33,9 @@ scalars = st.one_of(
     ),
 )
 
+#: A tuple subclass: sized like a plain tuple, never by the fast path.
+Pair = namedtuple("Pair", "a b")
+
 payloads = st.recursive(
     scalars,
     lambda children: st.tuples(children).map(tuple)
@@ -52,6 +56,8 @@ class TestCachedAgreesWithReference:
     @example(payload=("mwoe", 123456, 77, 3))
     @example(payload=("up", 5, math.inf))
     @example(payload=())
+    @example(payload=Pair(3, 4))
+    @example(payload=(1, Pair(3, 4)))
     def test_check_equals_payload_bits(self, payload):
         policy = CongestPolicy(10**6, strict=False)
         expected = payload_bits(payload)

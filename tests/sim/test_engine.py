@@ -14,6 +14,7 @@ from repro.sim import (
     SleepingSimulator,
     simulate,
 )
+from repro.sim.congest import payload_bits
 
 
 def exchange_ids_protocol(ctx):
@@ -311,3 +312,110 @@ class TestObservers:
         # But after only its first awake round, node 3 knew just {2, 3}.
         curve = result.knowledge.growth_curve(3)
         assert curve[1] == (1, 2)
+
+
+class TestPayloadSizing:
+    """Each payload object is sized once per sender per round, and every
+    message is still charged its bits."""
+
+    DEGREE = 6
+
+    def _hub_run(self, hub_sends, **kwargs):
+        """Build a star whose hub sends ``hub_sends(ctx)`` in round 1
+        while every leaf listens.  Returns the simulator, not yet run,
+        and the list its ``check`` appends each sized payload to."""
+        graph = star_graph(self.DEGREE + 1, seed=0)
+
+        def protocol(ctx):
+            if ctx.degree == self.DEGREE:
+                yield Awake(1, hub_sends(ctx))
+            else:
+                yield Awake(1)
+            return None
+
+        simulator = SleepingSimulator(graph, protocol, **kwargs)
+        checked = []
+        check = simulator.congest.check
+
+        def counting_check(payload):
+            checked.append(payload)
+            return check(payload)
+
+        simulator.congest.check = counting_check
+        return simulator, checked
+
+    def test_broadcast_object_sized_once_and_charged_per_port(self):
+        payload = ("hub", 123456, 7)
+        simulator, checked = self._hub_run(lambda ctx: ctx.broadcast(payload))
+        result = simulator.run()
+        bits = payload_bits(payload)
+        assert checked == [payload]
+        metrics = result.metrics
+        assert metrics.messages_delivered == self.DEGREE
+        assert metrics.total_bits == self.DEGREE * bits
+        assert metrics.max_message_bits == bits
+        assert sum(node.bits_received for node in metrics.per_node.values()) == (
+            self.DEGREE * bits
+        )
+        assert sum(node.bits_sent for node in metrics.per_node.values()) == (
+            self.DEGREE * bits
+        )
+
+    def test_over_budget_broadcast_lenient_counts_every_port(self):
+        oversized = tuple(range(500))
+        simulator, checked = self._hub_run(
+            lambda ctx: ctx.broadcast(oversized), strict_congest=False
+        )
+        result = simulator.run()
+        assert len(checked) == 1
+        assert result.metrics.congest_violations == self.DEGREE
+        assert result.metrics.total_bits == self.DEGREE * payload_bits(oversized)
+
+    def test_over_budget_broadcast_strict_raises_on_first_port(self):
+        oversized = tuple(range(500))
+        # Reversed, so the first port in ``sends`` order is not port 0.
+        simulator, _ = self._hub_run(
+            lambda ctx: dict.fromkeys(reversed(ctx.ports), oversized)
+        )
+        with pytest.raises(CongestViolation) as excinfo:
+            simulator.run()
+        assert excinfo.value.port == self.DEGREE - 1
+        assert excinfo.value.bits == payload_bits(oversized)
+        assert excinfo.value.budget == simulator.congest.budget
+
+    def test_equal_payloads_of_different_classes_are_each_sized(self):
+        """``(1,) == (True,)`` and they hash alike, but their sizes differ:
+        reuse goes by identity, so both are sized."""
+        as_int, as_bool = (1,), (True,)
+        assert as_int == as_bool and payload_bits(as_int) != payload_bits(as_bool)
+        simulator, checked = self._hub_run(
+            lambda ctx: {
+                port: as_int if port % 2 else as_bool for port in ctx.ports
+            }
+        )
+        result = simulator.run()
+        assert len(checked) == self.DEGREE
+        half = self.DEGREE // 2
+        assert result.metrics.total_bits == half * (
+            payload_bits(as_int) + payload_bits(as_bool)
+        )
+
+    def test_accepted_sends_are_isolated_from_later_mutation(self):
+        """The engine copies ``sends`` once, when it accepts the action: a
+        dict changed after the yield does not change the message."""
+        graph = path_graph(2, seed=0)
+        shared = {0: "original"}
+
+        def protocol(ctx):
+            if ctx.node_id == 1:
+                yield Awake(1)
+                yield Awake(5, shared)
+                return None
+            yield Awake(2)
+            shared[0] = "mutated"
+            inbox = yield Awake(5)
+            return dict(inbox)
+
+        result = simulate(graph, protocol)
+        assert shared == {0: "mutated"}
+        assert result.node_results[2] == {0: "original"}

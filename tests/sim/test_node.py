@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+from dataclasses import FrozenInstanceError
 from random import Random
 
 import pytest
@@ -42,6 +44,43 @@ class TestAwake:
         action = Awake(2, {0: "x", 1: "y"})
         assert action.sends[0] == "x"
 
+    def test_positional_and_keyword_construction_agree(self):
+        sends = {0: ("x", 1)}
+        assert Awake(3, sends) == Awake(round=3, sends=sends)
+        assert Awake(3) == Awake(round=3)
+        with pytest.raises(ValueError):
+            Awake(round=0)
+
+    def test_default_sends_are_fresh_per_action(self):
+        first, second = Awake(1), Awake(1)
+        assert first.sends == {} and first.sends is not second.sends
+
+    def test_equality(self):
+        assert Awake(2, {0: "x"}) == Awake(2, {0: "x"})
+        assert Awake(2, {0: "x"}) != Awake(3, {0: "x"})
+        assert Awake(2, {0: "x"}) != Awake(2, {0: "y"})
+        assert Awake(2) != (2, {})
+
+    def test_repr(self):
+        assert repr(Awake(4)) == "Awake(round=4, sends={})"
+        assert repr(Awake(2, {0: ("x", 1)})) == "Awake(round=2, sends={0: ('x', 1)})"
+
+    def test_frozen(self):
+        action = Awake(2, {0: "x"})
+        with pytest.raises(FrozenInstanceError):
+            action.round = 5
+        with pytest.raises(FrozenInstanceError):
+            action.sends = {}
+        with pytest.raises(FrozenInstanceError):
+            action.extra = 1
+        with pytest.raises(FrozenInstanceError):
+            del action.round
+        assert action == Awake(2, {0: "x"})
+
+    def test_pickle_round_trip(self):
+        action = Awake(7, {1: ("x", 2)})
+        assert pickle.loads(pickle.dumps(action)) == action
+
 
 class TestNodeContext:
     def test_degree(self):
@@ -53,6 +92,11 @@ class TestNodeContext:
     def test_broadcast_addresses_every_port(self):
         sends = make_context().broadcast("msg")
         assert sends == {0: "msg", 1: "msg", 2: "msg"}
+
+    def test_broadcast_shares_one_payload_object(self):
+        payload = ("msg", 1)
+        sends = make_context().broadcast(payload)
+        assert all(value is payload for value in sends.values())
 
 
 class TestProtocolStepping:
