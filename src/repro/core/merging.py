@@ -26,9 +26,9 @@ and never update off-path nodes (whose values are empty).  We implement the
 evidently intended rule — update exactly the nodes whose value is still
 empty — which reproduces Figures 3–5 exactly.
 
-Only nodes of a *merging* fragment wake during blocks 2–3 (the fragment
-learned whether it merges in step (i)); everybody else sleeps through them,
-keeping the per-phase awake cost at ``O(1)``.
+Only nodes of a *merging* fragment take blocks 2–3 (the fragment learned
+whether it merges in step (i)); everybody else skips them on its clock and
+sleeps through them, keeping the per-phase awake cost at ``O(1)``.
 """
 
 from __future__ import annotations
@@ -68,8 +68,13 @@ def merging_fragments(
         raise ValueError("merge_port given but fragment_merging is False")
 
     block_ta = clock.take()
-    block_up = clock.take()
-    block_down = clock.take()
+    if fragment_merging:
+        block_up = clock.take()
+        block_down = clock.take()
+    else:
+        # Surviving fragments sleep through the re-orientation blocks;
+        # skipping them keeps every clock aligned.
+        clock.skip(2)
 
     # ------------------------------------------------------------------
     # Block 1: announce (fragment, level, merging?) to all neighbours.
@@ -83,8 +88,11 @@ def merging_fragments(
         inbox = yield from transmit_adjacent(ctx, ldt, block_ta, announcements)
 
     pending_children: Set[int] = set()
+    neighbor_fragment = ldt.neighbor_fragment
+    neighbor_level = ldt.neighbor_level
     for port, (fragment, level, merging) in inbox.items():
-        ldt.record_neighbor(port, fragment, level)
+        neighbor_fragment[port] = fragment
+        neighbor_level[port] = level
         if merging:
             pending_children.add(port)
 

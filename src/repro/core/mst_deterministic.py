@@ -125,7 +125,8 @@ def deterministic_mst_protocol(
     clock = BlockClock(ctx.n)
     while phases_run < phase_budget:
         phases_run += 1
-        ctx.count("algo.phases", algorithm="deterministic")
+        if ctx.obs is not None:
+            ctx.count("algo.phases", algorithm="deterministic")
 
         with ctx.span("phase", phases_run):
             # --------------------------------------------------------
@@ -158,7 +159,8 @@ def deterministic_mst_protocol(
                     ctx, ldt, clock.take(), message
                 )
             if halt:
-                _probe_phase_end(ctx, ldt, phases_run)
+                if ctx.obs is not None:
+                    _probe_phase_end(ctx, ldt, phases_run)
                 break
 
             # Block 4: announce (fragment, MOE weight); detect incoming MOEs
@@ -301,6 +303,7 @@ def deterministic_mst_protocol(
                     merge_port=singleton_port,
                     fragment_merging=merging_singleton,
                 )
-            _probe_phase_end(ctx, ldt, phases_run)
+            if ctx.obs is not None:
+                _probe_phase_end(ctx, ldt, phases_run)
 
     return _output(ctx, ldt, phases_run)

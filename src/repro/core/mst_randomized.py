@@ -149,7 +149,8 @@ def randomized_mst_session(
 
     while phases_run < phase_budget:
         phases_run += 1
-        ctx.count("algo.phases", algorithm="randomized")
+        if ctx.obs is not None:
+            ctx.count("algo.phases", algorithm="randomized")
 
         with ctx.span("phase", phases_run):
             # Block 1: learn neighbours' fragments; compute local MOE
@@ -177,7 +178,8 @@ def randomized_mst_session(
                     ctx, ldt, clock.take(), message
                 )
             if halt:
-                _probe_phase_end(ctx, ldt, phases_run)
+                if ctx.obs is not None:
+                    _probe_phase_end(ctx, ldt, phases_run)
                 break
 
             # Block 4: announce (fragment, coin, MOE weight); the MOE owner
@@ -218,17 +220,18 @@ def randomized_mst_session(
             fragment_merging = coin == TAILS and valid_bit == 1
             merge_port = owner_port if (fragment_merging and owner_port is not None and owner_valid == 1) else None
 
-            ctx.probe(
-                "merge_decision",
-                phase=phases_run,
-                fragment=ldt.fragment_id,
-                coin=coin,
-                moe=moe_weight,
-                merging=1 if fragment_merging else 0,
-                owner=1 if owner_port is not None else 0,
-                valid=owner_valid if owner_port is not None else None,
-                target=owner_target,
-            )
+            if ctx.obs is not None:
+                ctx.probe(
+                    "merge_decision",
+                    phase=phases_run,
+                    fragment=ldt.fragment_id,
+                    coin=coin,
+                    moe=moe_weight,
+                    merging=1 if fragment_merging else 0,
+                    owner=1 if owner_port is not None else 0,
+                    valid=owner_valid if owner_port is not None else None,
+                    target=owner_target,
+                )
 
             # Blocks 7-9: merge tails fragments into their heads fragments
             # (:func:`merging_fragments` opens one span per block).
@@ -239,7 +242,8 @@ def randomized_mst_session(
                 merge_port=merge_port,
                 fragment_merging=fragment_merging,
             )
-            _probe_phase_end(ctx, ldt, phases_run)
+            if ctx.obs is not None:
+                _probe_phase_end(ctx, ldt, phases_run)
 
     return _output(ctx, ldt, phases_run), ldt, clock
 
@@ -247,12 +251,10 @@ def randomized_mst_session(
 def _probe_phase_end(ctx: NodeContext, ldt: LDTState, phase: int) -> None:
     """Snapshot the node's LDT labels for phase-boundary invariant monitors.
 
-    Shared by both MST algorithms.  A no-op unless the simulator was built
-    with ``monitors=...`` (see :meth:`repro.sim.node.NodeContext.probe`);
-    unobserved runs return before building the snapshot's sorted tuples.
+    Shared by both MST algorithms, whose call sites guard it with
+    ``if ctx.obs is not None``: unobserved runs never build the
+    snapshot's sorted tuples (see :meth:`repro.sim.node.NodeContext.probe`).
     """
-    if ctx.obs is None:
-        return
     ctx.probe(
         "phase_end",
         phase=phase,

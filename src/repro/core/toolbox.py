@@ -71,16 +71,14 @@ def fragment_broadcast(
     if ldt.is_root:
         if ldt.children_ports:
             yield Awake(
-                block.down_send(0),
-                {port: payload for port in ldt.children_ports},
+                block.down_send(0), dict.fromkeys(ldt.children_ports, payload)
             )
         return payload
     inbox: Inbox = yield Awake(block.down_receive(ldt.level))
     received = inbox.get(ldt.parent_port, NOTHING)
     if ldt.children_ports:
         yield Awake(
-            block.down_send(ldt.level),
-            {port: received for port in ldt.children_ports},
+            block.down_send(ldt.level), dict.fromkeys(ldt.children_ports, received)
         )
     return received
 
@@ -156,8 +154,11 @@ def neighbor_refresh(
     inbox = yield from transmit_adjacent(
         ctx, ldt, block, dict.fromkeys(ctx.ports, payload)
     )
+    neighbor_fragment = ldt.neighbor_fragment
+    neighbor_level = ldt.neighbor_level
     for port, received in inbox.items():
-        ldt.record_neighbor(port, received[0], received[1])
+        neighbor_fragment[port] = received[0]
+        neighbor_level[port] = received[1]
     return inbox
 
 

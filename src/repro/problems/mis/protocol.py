@@ -117,7 +117,8 @@ def sleeping_mis_protocol(
     if max_phases is not None and plan:
         plan = plan[: max(1, int(max_phases))]
     if ctx.n == 1 or not ctx.ports:
-        ctx.probe("mis_decided", in_mis=1, decided_phase=0, degree=0)
+        if ctx.obs is not None:
+            ctx.probe("mis_decided", in_mis=1, decided_phase=0, degree=0)
         return MISNodeOutput(
             node_id=ctx.node_id, in_mis=True, phases=0, decided_phase=0
         )
@@ -134,7 +135,8 @@ def sleeping_mis_protocol(
 
     for t, exponent in enumerate(plan, start=1):
         phases_run = t
-        ctx.count("algo.phases", algorithm="sleeping-mis")
+        if ctx.obs is not None:
+            ctx.count("algo.phases", algorithm="sleeping-mis")
         with ctx.span("phase", t):
             marked = ctx.rng.random() < 0.5 ** exponent
             rank = ctx.rng.randrange(ctx.n ** 3) if marked else 0
@@ -182,7 +184,8 @@ def sleeping_mis_protocol(
         # so each knows the IDs of its still-undecided neighbours.
         phases_run = len(plan) + 1
         decided_phase = len(plan) + 1
-        ctx.count("algo.phases", algorithm="sleeping-mis")
+        if ctx.obs is not None:
+            ctx.count("algo.phases", algorithm="sleeping-mis")
         with ctx.span("stage:final_slots"):
             base = clock.next_start
             for nbr_id, port in sorted(
@@ -202,12 +205,13 @@ def sleeping_mis_protocol(
                 decided = "in"
 
     in_mis = decided == "in"
-    ctx.probe(
-        "mis_decided",
-        in_mis=1 if in_mis else 0,
-        decided_phase=decided_phase,
-        degree=len(ctx.ports),
-    )
+    if ctx.obs is not None:
+        ctx.probe(
+            "mis_decided",
+            in_mis=1 if in_mis else 0,
+            decided_phase=decided_phase,
+            degree=len(ctx.ports),
+        )
     return MISNodeOutput(
         node_id=ctx.node_id,
         in_mis=in_mis,

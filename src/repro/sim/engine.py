@@ -31,11 +31,14 @@ Sparse execution
 Round complexities in this paper are huge (``Θ(n log n)`` randomized,
 ``Θ(nN log n)`` deterministic) while total awake work is tiny
 (``O(n log n)`` node-rounds).  The engine therefore never iterates over
-rounds in which everybody sleeps: it keeps a min-heap of scheduled wake-ups
-and jumps directly from one populated round to the next.  Round *numbers*
-remain exact, so reported round complexities are exact, but the wall-clock
-cost of a simulation is proportional to awake work plus messages, not to
-the round count.
+rounds in which everybody sleeps: it keeps a min-heap of the distinct
+rounds someone is due in, and a dict from each such round to the node IDs
+due in it, and jumps directly from one populated round to the next.  A
+Transmission-Schedule block wakes a whole fragment level in one round, so
+one heap entry serves many awake steps.  Nodes due in the same round step
+in ascending node-ID order.  Round *numbers* remain exact, so reported
+round complexities are exact, but the wall-clock cost of a simulation is
+proportional to awake work plus messages, not to the round count.
 """
 
 from __future__ import annotations
@@ -52,7 +55,7 @@ from .errors import (
     ProtocolViolation,
     SimulationLimitExceeded,
 )
-from .metrics import Metrics
+from .metrics import Metrics, NodeMetrics
 from .node import (
     Awake,
     NodeContext,
@@ -112,10 +115,10 @@ class SimulationResult:
 class _NodeRuntime:
     """Engine-internal per-node state.
 
-    ``node_metrics`` and ``ports_map`` alias the per-node
-    :class:`~repro.sim.metrics.NodeMetrics` and adjacency entries so the
-    round loop reaches them with one attribute load instead of method
-    calls and nested dict lookups per message.
+    ``node_metrics`` aliases the node's
+    :class:`~repro.sim.metrics.NodeMetrics` and ``ports_map`` is its link
+    table, so the round loop reaches a sender's and each receiver's
+    counters with attribute loads and one dict lookup per message.
     """
 
     context: NodeContext
@@ -126,8 +129,9 @@ class _NodeRuntime:
     pending_knowledge: int = 0
     #: Alias of ``metrics.per_node[node_id]`` for this run.
     node_metrics: Any = None
-    #: Alias of the engine's adjacency entry: port -> (nbr, nbr_port, w).
-    ports_map: Dict[int, Tuple[int, int, int]] = field(default_factory=dict)
+    #: Link table: port -> (neighbour ID, neighbour's port back to this
+    #: node, the neighbour's ``NodeMetrics``).
+    ports_map: Dict[int, Tuple[int, int, NodeMetrics]] = field(default_factory=dict)
 
 
 class SleepingSimulator:
@@ -262,6 +266,7 @@ class SleepingSimulator:
             self.obs = ObsRecorder(registry=obs_registry, monitors=monitors)
         self._n = n
         self._max_id = max_id
+        self._ran = False
 
     # ------------------------------------------------------------------
     # Setup
@@ -288,32 +293,49 @@ class SleepingSimulator:
 
         Every configuration runs through the same round loop
         (:meth:`_run_rounds`); the channel model and the observers only
-        change which branches of it fire.
+        change which branches of it fire.  A simulator runs once: its
+        trace, knowledge tracker and observability recorder hold that
+        run's history, so a second call raises :class:`RuntimeError`.
         """
+        if self._ran:
+            raise RuntimeError(
+                "SleepingSimulator.run() was already called; build a new "
+                "simulator for another run"
+            )
+        self._ran = True
         self.channel.reset(self._node_ids, Random(f"{self.seed}/transport"))
         if self.monitors is not None:
             self.monitors.attach(self.graph, self._node_ids, seed=self.seed)
         metrics = Metrics()
         results: Dict[int, Any] = {}
         runtimes: Dict[int, _NodeRuntime] = {}
-        # Heap of (round, node_id); each live node has exactly one entry.
-        wakeups: List[Tuple[int, int]] = []
+        # Round -> IDs of the nodes due in it; each live node is in
+        # exactly one list.
+        due: Dict[int, List[int]] = {}
 
+        # Every NodeMetrics exists before the link tables alias them,
+        # created in ascending node-ID order as ``per_node`` lists them.
+        node_metrics = {node_id: metrics.node(node_id) for node_id in self._node_ids}
         for node_id in self._node_ids:
             context = self._make_context(node_id)
             protocol = self.protocol_factory(context)
             runtime = _NodeRuntime(context=context, protocol=protocol)
-            runtime.node_metrics = metrics.node(node_id)
-            runtime.ports_map = self._adjacency[node_id]
+            runtime.node_metrics = node_metrics[node_id]
+            runtime.ports_map = {
+                port: (neighbour_id, neighbour_port, node_metrics[neighbour_id])
+                for port, (neighbour_id, neighbour_port, _) in self._adjacency[
+                    node_id
+                ].items()
+            }
             runtimes[node_id] = runtime
             finished, value = prime_protocol(protocol)
             if finished:
                 self._finish_node(node_id, runtime, value, 0, results, metrics)
                 continue
             self._accept_action(node_id, runtime, value, current_round=0)
-            heapq.heappush(wakeups, (value.round, node_id))
+            due.setdefault(value.round, []).append(node_id)
 
-        self._run_rounds(metrics, results, runtimes, wakeups)
+        self._run_rounds(metrics, results, runtimes, due)
 
         if self.obs is not None:
             self.obs.finalize(metrics)
@@ -339,9 +361,14 @@ class SleepingSimulator:
         metrics: Metrics,
         results: Dict[int, Any],
         runtimes: Dict[int, _NodeRuntime],
-        wakeups: List[Tuple[int, int]],
+        due: Dict[int, List[int]],
     ) -> None:
         """The round loop: jump to the next populated round, transmit, compute.
+
+        ``due`` maps each round to the IDs of the nodes due in it; a
+        min-heap holds its keys, one entry per populated round.  Each
+        round gets one inbox per awake node, so a receiver is awake
+        exactly when it has an inbox.
 
         Aggregate counters accumulate in locals and are written into
         ``metrics`` once, after the last round.  Under the perfect channel
@@ -370,6 +397,9 @@ class SleepingSimulator:
         accept_action = self._accept_action
         heappop = heapq.heappop
         heappush = heapq.heappush
+        # Distinct rounds with a node due; ``due`` holds who.
+        wake_rounds = list(due)
+        heapq.heapify(wake_rounds)
 
         last_round = 0
         total_awake_rounds = 0
@@ -383,26 +413,26 @@ class SleepingSimulator:
         congest_violations = 0
         max_awake_running = 0
 
-        # Inboxes (and, when tracking knowledge, the knowledge masks that
-        # arrived with the messages) are keyed by receiver and filled on
-        # first delivery; every receiver is awake this round, so Phase B
-        # drains both dicts and they are reused round after round.
-        inboxes: Dict[int, Dict[int, Any]] = {}
+        # Knowledge masks that arrived with the messages, keyed by
+        # receiver; every receiver is awake this round, so Phase B drains
+        # the dict and it is reused round after round.
         received_masks: Dict[int, List[int]] = {}
         # In-flight messages re-scheduled by the channel (delays and
         # duplicate copies): a heap of ``(deliver_round, sequence,
         # receiver, receiver_port, payload, bits, sender, knowledge_mask)``.
         delayed: List[Tuple[int, int, int, int, Any, int, int, int]] = []
         delayed_seq = 0
-        while wakeups:
-            current_round = wakeups[0][0]
+        while wake_rounds:
+            current_round = heappop(wake_rounds)
             if max_rounds is not None and current_round > max_rounds:
                 raise SimulationLimitExceeded(
                     f"round {current_round} exceeds max_rounds={max_rounds}"
                 )
-            awake_now: List[int] = []
-            while wakeups and wakeups[0][0] == current_round:
-                awake_now.append(heappop(wakeups)[1])
+            # Nodes due in the same round step in ascending node-ID order:
+            # it fixes each inbox's port order and the order in which a
+            # fault channel draws from its RNG.
+            awake_now = due.pop(current_round)
+            awake_now.sort()
             last_round = current_round
 
             if has_crashes:
@@ -418,7 +448,11 @@ class SleepingSimulator:
                     else:
                         alive.append(node_id)
                 awake_now = alive
-            awake_set = set(awake_now)
+            # One inbox per awake node: a receiver is awake exactly when
+            # it has one.
+            inboxes: Dict[int, Dict[int, Any]] = {
+                node_id: {} for node_id in awake_now
+            }
 
             # Delayed arrivals scheduled at or before this round resolve
             # now: an exactly-now arrival reaches an awake receiver;
@@ -437,10 +471,8 @@ class SleepingSimulator:
                     sender_id,
                     mask,
                 ) = heappop(delayed)
-                if arrive_round == current_round and receiver_id in awake_set:
-                    inbox = inboxes.get(receiver_id)
-                    if inbox is None:
-                        inbox = inboxes[receiver_id] = {}
+                inbox = inboxes.get(receiver_id)
+                if arrive_round == current_round and inbox is not None:
                     inbox[receiver_port] = payload
                     messages_delivered += 1
                     receiver = runtimes[receiver_id].node_metrics
@@ -477,7 +509,8 @@ class SleepingSimulator:
                 # but their sizes differ.
                 sized = _UNSIZED
                 for port, payload in pending.items():
-                    neighbour_id, neighbour_port, _ = ports_map[port]
+                    neighbour_id, neighbour_port, receiver = ports_map[port]
+                    inbox = inboxes.get(neighbour_id)
                     if payload is not sized:
                         sized = payload
                         bits = congest_check(payload)
@@ -491,7 +524,7 @@ class SleepingSimulator:
                                 node_id, port, bits, congest_budget
                             )
                     if deliver is None:
-                        kind = "deliver" if neighbour_id in awake_set else "lose"
+                        kind = "lose" if inbox is None else "deliver"
                     else:
                         outcome = deliver(
                             current_round,
@@ -499,7 +532,7 @@ class SleepingSimulator:
                             port,
                             payload,
                             bits,
-                            neighbour_id in awake_set,
+                            inbox is not None,
                         )
                         kind = outcome.kind
                         if kind == "drop":
@@ -537,19 +570,13 @@ class SleepingSimulator:
                                 ),
                             )
                     if kind == "deliver":
-                        inbox = inboxes.get(neighbour_id)
-                        if inbox is None:
-                            inbox = inboxes[neighbour_id] = {}
                         inbox[neighbour_port] = payload
                         messages_delivered += 1
-                        receiver = runtimes[neighbour_id].node_metrics
                         receiver.messages_received += 1
                         receiver.bits_received += bits
                     elif kind == "lose":
                         messages_lost += 1
-                        runtimes[
-                            neighbour_id
-                        ].node_metrics.messages_lost_as_receiver += 1
+                        receiver.messages_lost_as_receiver += 1
                     if observed:
                         # The sender's generator is still suspended at the
                         # yield that scheduled this send, so its innermost
@@ -579,17 +606,18 @@ class SleepingSimulator:
                                     payload,
                                 )
                 # A sent message is never taken back, so the sender's
-                # counters are added once for all its sends.
+                # counters are added once for all its sends.  Its
+                # ``pending_sends`` stay: Phase B resumes it this round,
+                # and it either finishes or stages new sends.
                 sender_metrics = runtime.node_metrics
                 sender_metrics.messages_sent += len(pending)
                 sender_metrics.bits_sent += sent_bits
                 total_bits += sent_bits
-                runtime.pending_sends = {}
 
             # Phase B: local computation.  Resume every awake node with its
             # inbox; it either terminates or schedules its next awake round.
             total_awake_rounds += len(awake_now)
-            for node_id in awake_now:
+            for node_id, inbox in inboxes.items():
                 runtime = runtimes[node_id]
                 node_metrics = runtime.node_metrics
                 awake = node_metrics.awake_rounds + 1
@@ -604,11 +632,8 @@ class SleepingSimulator:
                     if knowledge is not None:
                         knowledge.absorb(node_id, received_masks.pop(node_id, ()))
                         knowledge.note_awake(node_id)
-                inbox = inboxes.pop(node_id, None)
                 try:
-                    finished, value = run_protocol_step(
-                        runtime.protocol, {} if inbox is None else inbox
-                    )
+                    finished, value = run_protocol_step(runtime.protocol, inbox)
                 except (ProtocolViolation, CongestViolation):
                     raise
                 except Exception as error:  # noqa: BLE001 - wrapped deliberately
@@ -625,7 +650,13 @@ class SleepingSimulator:
                     )
                 else:
                     accept_action(node_id, runtime, value, current_round)
-                    heappush(wakeups, (value.round, node_id))
+                    wake_round = value.round
+                    bucket = due.get(wake_round)
+                    if bucket is None:
+                        due[wake_round] = [node_id]
+                        heappush(wake_rounds, wake_round)
+                    else:
+                        bucket.append(node_id)
 
             if total_awake_rounds > max_awake_events:
                 raise SimulationLimitExceeded(
@@ -705,11 +736,13 @@ class SleepingSimulator:
                 f"current round {current_round}",
             )
         sends = dict(action.sends)
-        for port in sends:
-            if port not in self._adjacency[node_id]:
-                raise ProtocolViolation(
-                    node_id, f"send on unknown port {port}"
-                )
+        ports_map = runtime.ports_map
+        if not sends.keys() <= ports_map.keys():
+            for port in sends:
+                if port not in ports_map:
+                    raise ProtocolViolation(
+                        node_id, f"send on unknown port {port}"
+                    )
         runtime.pending_sends = sends
         if self.knowledge is not None:
             runtime.pending_knowledge = self.knowledge.snapshot(node_id)

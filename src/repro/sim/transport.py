@@ -18,7 +18,9 @@ For every message the engine calls::
 and acts on the returned :class:`Outcome`:
 
 ``deliver``
-    The message reaches the receiver's inbox this round.
+    The message reaches the receiver's inbox this round.  Only an awake
+    receiver has an inbox, so a channel returns it only when
+    ``receiver_awake`` is true.
 ``lose``
     The sleeping-model loss: the receiver was asleep (or the channel
     decided the message arrives at a round where the receiver is asleep).

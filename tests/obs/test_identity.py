@@ -19,6 +19,8 @@ import pytest
 from repro.core import run_deterministic_mst, run_randomized_mst
 from repro.obs import block_breakdown, check_awake_identity
 from repro.orchestrator import GRAPH_FAMILIES
+from repro.problems import run_sleeping_mis
+from repro.sim import NodeContext
 
 SIZES = (8, 16, 32)
 FAMILIES = ("ring", "gnp", "star")
@@ -111,3 +113,18 @@ def test_observability_does_not_change_the_run(algorithm):
         assert _canonical(plain) == _canonical(observed)
         assert plain.spans is None
         assert observed.spans is not None and len(observed.spans) > 0
+
+
+def test_unobserved_runs_make_no_count_or_probe_calls(monkeypatch):
+    """Unobserved protocols guard every ``ctx.count``/``ctx.probe`` call
+    site with ``ctx.obs is not None``, so they never make one."""
+
+    def forbidden(self, *args, **kwargs):
+        raise AssertionError("unobserved run called ctx.count or ctx.probe")
+
+    monkeypatch.setattr(NodeContext, "count", forbidden)
+    monkeypatch.setattr(NodeContext, "probe", forbidden)
+    graph = GRAPH_FAMILIES["gnp"](16, 1, None)
+    for runner in (run_randomized_mst, run_deterministic_mst, run_sleeping_mis):
+        result = runner(graph, seed=1, verify=True)
+        assert result.spans is None

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core import randomized_mst_protocol
 from repro.graphs import path_graph, ring_graph, star_graph
 from repro.sim import (
     Awake,
@@ -186,6 +187,16 @@ class TestViolations:
         with pytest.raises(ProtocolViolation):
             simulate(graph, protocol)
 
+        # A later-round action mixing known and unknown ports names the
+        # first unknown port in ``sends`` order.
+        def mixed(ctx):
+            yield Awake(1)
+            yield Awake(2, {0: "ok", 99: "a", 98: "b"})
+            return None
+
+        with pytest.raises(ProtocolViolation, match="send on unknown port 99$"):
+            simulate(graph, mixed)
+
     def test_non_awake_yield_rejected(self):
         graph = path_graph(2, seed=0)
 
@@ -279,6 +290,32 @@ class TestDeterminism:
         result = simulate(graph, protocol)
         assert result.node_results == {1: 1, 2: 2}
         assert result.metrics.max_awake == 0
+
+
+class TestRunOnce:
+    def test_second_run_raises_and_keeps_the_first_runs_observers(self):
+        """A simulator's trace, knowledge and obs hold one run's history,
+        so a second ``run()`` is refused instead of appending to them."""
+
+        def build():
+            return SleepingSimulator(
+                ring_graph(6, seed=1),
+                randomized_mst_protocol,
+                seed=3,
+                trace=True,
+                track_knowledge=True,
+                observe=True,
+            )
+
+        sim = build()
+        first = sim.run()
+        with pytest.raises(RuntimeError, match="already called"):
+            sim.run()
+        fresh = build().run()
+        assert len(first.trace) == len(fresh.trace)
+        assert len(first.spans) == len(fresh.spans)
+        assert first.knowledge.growth_curve(1) == fresh.knowledge.growth_curve(1)
+        assert first.metrics.summary() == fresh.metrics.summary()
 
 
 class TestObservers:

@@ -13,7 +13,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core import randomized_mst_protocol
-from repro.graphs import path_graph, random_connected_graph, ring_graph
+from repro.graphs import (
+    path_graph,
+    random_connected_graph,
+    ring_graph,
+    star_graph,
+)
 from repro.sim import Awake, simulate
 from repro.sim.reference import simulate_dense
 
@@ -53,12 +58,39 @@ def test_random_schedules_agree(schedules):
                 inbox = yield Awake(
                     round_number, ctx.broadcast((ctx.node_id, round_number))
                 )
-                heard.extend(sorted(inbox.items()))
+                heard.extend(inbox.items())
             return heard
 
         return protocol()
 
     compare(graph, factory)
+
+
+def test_same_round_senders_step_in_ascending_id_order():
+    """Nodes due in one round step in ascending ID order, whatever order
+    they scheduled it in: the hub hears its leaves in that order."""
+    graph = star_graph(6, seed=3)
+    top = max(graph.node_ids)
+    meet = 2 * top + 2
+
+    def factory(ctx):
+        def protocol():
+            if ctx.degree > 1:
+                inbox = yield Awake(meet)
+                return list(inbox.items())
+            # The highest ID wakes first, so the leaves schedule the
+            # shared round in descending ID order.
+            yield Awake(top + 1 - ctx.node_id)
+            yield Awake(meet, ctx.broadcast(ctx.node_id))
+            return None
+
+        return protocol()
+
+    compare(graph, factory)
+    (hub,) = [node for node in graph.node_ids if len(graph.ports_of(node)) > 1]
+    leaves = [leaf for _, leaf in simulate(graph, factory).node_results[hub]]
+    assert len(leaves) == 5
+    assert leaves == sorted(leaves)
 
 
 @given(seed=st.integers(min_value=0, max_value=10**6))
