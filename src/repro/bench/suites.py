@@ -280,7 +280,8 @@ def _make_mst_scale(n: int, engine: str) -> Callable[[], Any]:
 
     # Both engines run the *same* graph and seed, so the pair of medians
     # is a clean backend ratio: identical rounds, identical messages,
-    # identical metrics (the equivalence suite asserts byte equality).
+    # identical metrics (CI's bench-smoke job asserts byte equality on
+    # the n=4096 graph, seed 0, right after timing this tier).
     graph = GRAPH_FAMILIES["grid"](n, 0, None)
 
     def run() -> None:

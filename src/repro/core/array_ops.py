@@ -9,14 +9,17 @@ block's effect on *all* nodes with numpy kernels:
   node index (sorted-ID order, matching the coroutine engine);
 * ``Transmit-Adjacent`` blocks are a single gather over the CSR directed
   edge arrays of :class:`repro.sim.array_engine.ArrayGraph`;
-* ``Upcast-Min`` is a level-ordered segmented minimum
-  (:func:`subtree_min`) pushing subtree minima up parent pointers;
+* ``Upcast-Min`` is pointer doubling (:func:`subtree_min`): each phase
+  builds one :func:`ancestor_jumps` table, whose entry ``k`` folds
+  subtree minima ``2**k`` hops up parent pointers, so a forest of depth
+  ``d`` takes ``ceil(log2(d + 1))`` vector steps, not one per level;
 * MOE selection is an edge-mask + per-source scatter (:func:`owner_edges`);
-* ``Merging-Fragments`` re-roots each tails fragment by walking the
-  ``u_T`` → old-root chains upward and filling the off-path nodes in
-  old-level order (:func:`reroot_merging_fragments`) — reproducing the
-  up/down passes of :mod:`repro.core.merging` without per-node message
-  flow.
+* ``Merging-Fragments`` re-roots each tails fragment with no per-level
+  or per-hop loop (:func:`reroot_merging_fragments`): one scatter
+  reverses the ``u_T`` → old-root path, and every off-path node finds
+  its nearest path ancestor by pointer jumping, squaring once per table
+  entry — reproducing the up/down passes of :mod:`repro.core.merging`
+  without per-node message flow.
 
 Per-block awake rounds, message counts, and payload bits are charged to a
 :class:`repro.sim.array_engine.BlockAccountant` using the closed-form
@@ -67,45 +70,41 @@ except ImportError:  # pragma: no cover - the CI image always has numpy
 INT_NOTHING = (1 << 62)
 
 
-def level_groups(level: Any, mask: Any = None) -> List[Tuple[int, Any]]:
-    """Group node indices by level, ascending; vectorized bodies per group.
+def ancestor_jumps(parent: Any) -> List[Tuple[Any, Any]]:
+    """Pointer-doubling table of a parent-pointer forest.
 
-    Fragment trees satisfy ``level[parent] == level[child] - 1``, so
-    processing groups in (reverse) order makes one ``np.minimum.at`` /
-    gather per level a correct convergecast (broadcast) step.
+    Entry ``k`` is a pair ``(nodes, up)``: every node with an ancestor
+    ``2**k`` hops up, and that ancestor.  Entry ``k + 1`` applies entry
+    ``k``'s map twice, so a forest of depth ``d`` gets
+    ``ceil(log2(d + 1))`` entries, and one table serves every tree
+    reduction of a phase.
     """
-    if mask is None:
-        idx = np.arange(level.shape[0], dtype=np.int64)
-    else:
-        idx = np.nonzero(mask)[0]
-    if idx.size == 0:
-        return []
-    order = np.argsort(level[idx], kind="stable")
-    idx = idx[order]
-    levels = level[idx]
-    boundaries = np.nonzero(np.diff(levels))[0] + 1
-    starts = np.concatenate(([0], boundaries))
-    ends = np.concatenate((boundaries, [idx.size]))
-    return [
-        (int(levels[s]), idx[s:e]) for s, e in zip(starts, ends)
-    ]
+    jumps: List[Tuple[Any, Any]] = []
+    ancestor = parent
+    nodes = np.nonzero(parent >= 0)[0]
+    while nodes.size:
+        up = ancestor[nodes]
+        jumps.append((nodes, up))
+        further = ancestor[up]
+        keep = further >= 0
+        nodes = nodes[keep]
+        ancestor = np.full_like(parent, -1)
+        ancestor[nodes] = further[keep]
+    return jumps
 
 
-def subtree_min(
-    parent: Any, groups: List[Tuple[int, Any]], values: Any
-) -> Any:
+def subtree_min(jumps: List[Tuple[Any, Any]], values: Any) -> Any:
     """Per-node minimum over its fragment subtree (``Upcast-Min`` result).
 
-    ``groups`` is :func:`level_groups` of the current trees.  Children are
-    folded into parents deepest level first, so ``combined[v]`` ends as
-    the minimum of ``values`` over ``v``'s subtree — the value ``v`` sends
-    up in the coroutine engine, and at roots the fragment aggregate.
+    ``jumps`` is :func:`ancestor_jumps` of the current trees.  After
+    entry ``k`` a node holds the minimum over its descendants fewer than
+    ``2**(k + 1)`` hops down, so ``combined[v]`` ends as the minimum of
+    ``values`` over ``v``'s subtree: the value ``v`` sends up in the
+    coroutine engine, and at roots the fragment aggregate.
     """
     combined = values.copy()
-    for lev, nodes in reversed(groups):
-        if lev == 0:
-            continue
-        np.minimum.at(combined, parent[nodes], combined[nodes])
+    for nodes, up in jumps:
+        np.minimum.at(combined, up, combined[nodes])
     return combined
 
 
@@ -143,66 +142,65 @@ def reroot_merging_fragments(
     parent_edge: Any,
     frag: Any,
     level: Any,
-    groups: List[Tuple[int, Any]],
+    jumps: List[Tuple[Any, Any]],
+    root_idx: Any,
     merging: Any,
+    path: Any,
     merge_edge: Any,
 ):
-    """Compute the post-merge labels of every merging node.
+    """Compute the post-merge labels of every node.
 
     Mirrors the up/down passes of :func:`repro.core.merging
     .merging_fragments`: each ``u_T`` (with ``merge_edge >= 0``) anchors
-    at its heads neighbour; the old-tree ancestor chain up to the old
-    root reverses its parent pointers (the block-8 path); every other
-    merging node keeps its pointers and re-levels from its parent (the
-    block-9 down pass, applied in old-level order).
+    at its heads neighbour; its ancestor chain up to the old root
+    (``path``, the block-8 path) reverses its parent pointers; every
+    other merging node keeps its pointers and re-levels from its parent
+    (the block-9 down pass).  No step walks a tree level or a path hop:
 
-    Returns ``(new_level, new_frag, new_parent, new_parent_edge,
-    path_mask)`` — the ``new_*`` arrays are only meaningful at merging
-    nodes.
+    * each path node ``c`` with an old parent becomes that parent's new
+      parent, in one scatter;
+    * a merging node takes its heads fragment's label through its old
+      root;
+    * a merging node ``v`` with nearest path ancestor ``a`` (``v`` itself
+      on the path) ends at level ``level[heads] + 1 + level[u_T] -
+      2 * level[a] + level[v]``, and ``a`` comes from pointer jumping,
+      squaring once per entry of the phase's ``jumps`` table.
+
+    Returns ``(new_level, new_frag, new_parent, new_parent_edge)``;
+    nodes outside merging fragments keep their current values.
     """
-    n = g.n
-    new_level = np.full(n, -1, dtype=np.int64)
-    new_frag = np.full(n, -1, dtype=np.int64)
+    u_t = np.nonzero(merge_edge >= 0)[0]
+    heads = g.dst[merge_edge[u_t]]
+
     new_parent = parent.copy()
     new_parent_edge = parent_edge.copy()
-    path_mask = np.zeros(n, dtype=bool)
+    climbers = np.nonzero(path & (parent >= 0))[0]
+    tops = parent[climbers]
+    new_parent[tops] = climbers
+    new_parent_edge[tops] = g.rev[parent_edge[climbers]]
+    new_parent[u_t] = heads
+    new_parent_edge[u_t] = merge_edge[u_t]
 
-    u_t = np.nonzero(merge_edge >= 0)[0]
-    if u_t.size:
-        heads = g.dst[merge_edge[u_t]]
-        new_frag[u_t] = frag[heads]
-        new_level[u_t] = level[heads] + 1
-        new_parent[u_t] = heads
-        new_parent_edge[u_t] = merge_edge[u_t]
-        path_mask[u_t] = True
+    # Per merging fragment, indexed by its old root: the heads fragment's
+    # label and level[heads] + 1 + level[u_T].
+    heads_frag = np.zeros_like(frag)
+    base_level = np.zeros_like(level)
+    roots = root_idx[u_t]
+    heads_frag[roots] = frag[heads]
+    base_level[roots] = level[heads] + 1 + level[u_t]
 
-        # Up pass: one u_T per fragment, so the ancestor chains are
-        # disjoint and each hop is a clean vectorized assignment.
-        current = u_t
-        while current.size:
-            parents = parent[current]
-            alive = parents >= 0
-            if not np.any(alive):
-                break
-            children = current[alive]
-            parents = parents[alive]
-            new_level[parents] = new_level[children] + 1
-            new_frag[parents] = new_frag[children]
-            new_parent[parents] = children
-            new_parent_edge[parents] = g.rev[parent_edge[children]]
-            path_mask[parents] = True
-            current = parents
+    # Path nodes and non-merging nodes are fixed points; the others step
+    # to their parent.  2**len(jumps) exceeds the depth, so squaring once
+    # per entry lands every merging node on its nearest path ancestor.
+    anchor = np.where(path | ~merging, np.arange(g.n), parent)
+    for _ in jumps:
+        anchor = anchor[anchor]
 
-    # Down pass: off-path merging nodes adopt parent's values + 1, in old
-    # level order (their parent is strictly shallower, hence already set).
-    for _, nodes in groups:
-        nodes = nodes[merging[nodes] & ~path_mask[nodes]]
-        if nodes.size == 0:
-            continue
-        parents = parent[nodes]
-        new_level[nodes] = new_level[parents] + 1
-        new_frag[nodes] = new_frag[parents]
-    return new_level, new_frag, new_parent, new_parent_edge, path_mask
+    new_frag = np.where(merging, heads_frag[root_idx], frag)
+    new_level = np.where(
+        merging, base_level[root_idx] - 2 * level[anchor] + level, level
+    )
+    return new_level, new_frag, new_parent, new_parent_edge
 
 
 def _scalar_bits(values: Any) -> Any:
@@ -269,7 +267,7 @@ def run_randomized_mst_array(
         ).astype(np.int64)
         has_children = child_count > 0
         root_idx = np.searchsorted(ids, frag)
-        groups = level_groups(level)
+        jumps = ancestor_jumps(parent)
         up_receive_round = 2 * n - level  # + start - ... added per block
         down_receive_round = level - 1
 
@@ -284,15 +282,19 @@ def run_randomized_mst_array(
         candidate = np.minimum.reduceat(edge_weight, g.indptr[:-1])
 
         # ----- Block 2: Upcast-Min of the candidate weights.
-        combined = subtree_min(parent, groups, candidate)
+        combined = subtree_min(jumps, candidate)
         acc.charge_awake(has_children, starts[1] + up_receive_round)
         acc.charge_awake(nonroot, starts[1] + up_receive_round + 1)
-        acc.charge_up_messages(nonroot, parent, _scalar_bits(combined))
+        acc.charge_up_messages(nonroot, parent, level, _scalar_bits(combined))
 
         # ----- Block 3: roots draw coins, broadcast (MOE|0, coin, halt).
+        # Each root draws once from its own generator, in ascending index
+        # order, then one vector compare maps the draws to coins: the
+        # RNG-parity contract with the coroutine engine.
+        roots = np.nonzero(is_root)[0]
+        draws = np.array([rngs[idx].random() for idx in roots.tolist()])
         coin_draw = np.zeros(n, dtype=np.int64)
-        for idx in np.nonzero(is_root)[0].tolist():
-            coin_draw[idx] = HEADS if rngs[idx].random() < 0.5 else TAILS
+        coin_draw[roots] = np.where(draws < 0.5, HEADS, TAILS)
         frag_moe = combined[root_idx]
         moe_weight = np.where(frag_moe == INT_NOTHING, 0, frag_moe)
         coin = coin_draw[root_idx]
@@ -304,7 +306,9 @@ def run_randomized_mst_array(
         pb3 = TUPLE_OVERHEAD + int_field_bits(moe_weight) + 8
         acc.charge_awake(nonroot, starts[2] + down_receive_round)
         acc.charge_awake(has_children, starts[2] + down_receive_round + 1)
-        acc.charge_down_messages(has_children, child_count, nonroot, pb3)
+        acc.charge_down_messages(
+            has_children, parent, level, child_count, nonroot, pb3
+        )
         if bool(halt.all()):
             next_block_start = starts[3]
             break
@@ -325,19 +329,27 @@ def run_randomized_mst_array(
         owner_edge, owner_valid = owner_edges(g, frag, moe_weight, coin)
 
         # ----- Block 5: Upcast-Min of the validity bit.
-        valid_combined = subtree_min(parent, groups, owner_valid)
+        valid_combined = subtree_min(jumps, owner_valid)
         acc.charge_awake(has_children, starts[4] + up_receive_round)
         acc.charge_awake(nonroot, starts[4] + up_receive_round + 1)
-        acc.charge_up_messages(nonroot, parent, _scalar_bits(valid_combined))
+        acc.charge_up_messages(
+            nonroot, parent, level, _scalar_bits(valid_combined)
+        )
 
         # ----- Block 6: broadcast the validity bit back down.
         valid_bit = valid_combined[root_idx]
         pb6 = _scalar_bits(valid_bit)
         acc.charge_awake(nonroot, starts[5] + down_receive_round)
         acc.charge_awake(has_children, starts[5] + down_receive_round + 1)
-        acc.charge_down_messages(has_children, child_count, nonroot, pb6)
+        acc.charge_down_messages(
+            has_children, parent, level, child_count, nonroot, pb6
+        )
 
         fragment_merging = (coin == TAILS) & (valid_bit == 1)
+        # Weights are distinct, so a merging fragment has exactly one MOE
+        # owner u_T, and block 5's validity minimum is 1 exactly at u_T
+        # and its ancestors: the path the merge reverses.
+        path = fragment_merging & (valid_combined == 1)
         merge_edge = np.where(
             fragment_merging & (owner_edge >= 0) & (owner_valid == 1),
             owner_edge,
@@ -355,15 +367,17 @@ def run_randomized_mst_array(
         acc.charge_side_exchange(pb7)
 
         # Re-rooted labels for all merging nodes (blocks 8-9 semantics).
-        new_level, new_frag, new_parent, new_parent_edge, path_mask = (
+        new_level, new_frag, new_parent, new_parent_edge = (
             reroot_merging_fragments(
                 g,
                 parent,
                 parent_edge,
                 frag,
                 level,
-                groups,
+                jumps,
+                root_idx,
                 fragment_merging,
+                path,
                 merge_edge,
             )
         )
@@ -375,13 +389,13 @@ def run_randomized_mst_array(
         acc.charge_awake(m_children, starts[7] + up_receive_round)
         acc.charge_awake(m_nonroot, starts[7] + up_receive_round + 1)
         pb_merge = np.where(
-            path_mask,
+            path,
             TUPLE_OVERHEAD
             + int_field_bits(new_level)
             + int_field_bits(new_frag),
             0,
         )
-        acc.charge_up_messages(path_mask & nonroot, parent, pb_merge)
+        acc.charge_up_messages(path & nonroot, parent, level, pb_merge)
 
         # ----- Block 9: down pass — every merging node with old children
         # forwards its (by now known) new labels to them.
@@ -396,14 +410,22 @@ def run_randomized_mst_array(
         )
         heard9 = pb9[parent]
         acc.charge_down_messages(
-            m_children, child_count, m_nonroot, pb9, receiver_bits=heard9
+            m_children,
+            parent,
+            level,
+            child_count,
+            m_nonroot,
+            pb9,
+            receiver_bits=heard9,
         )
 
         # Commit the merge.
-        frag[fragment_merging] = new_frag[fragment_merging]
-        level[fragment_merging] = new_level[fragment_merging]
-        parent[fragment_merging] = new_parent[fragment_merging]
-        parent_edge[fragment_merging] = new_parent_edge[fragment_merging]
+        frag, level, parent, parent_edge = (
+            new_frag,
+            new_level,
+            new_parent,
+            new_parent_edge,
+        )
 
         next_block_start = starts[8] + span
         acc.check_limits()

@@ -8,6 +8,7 @@ correctness checks reduce to set equality of edge-weight sets.
 from __future__ import annotations
 
 import heapq
+from operator import attrgetter
 from typing import Dict, Iterable, List, Set, Tuple
 
 from .weighted_graph import Edge, WeightedGraph
@@ -49,7 +50,7 @@ def kruskal_mst(graph: WeightedGraph) -> List[Edge]:
     """Kruskal's algorithm; edges returned in increasing weight order."""
     union_find = UnionFind(graph.node_ids)
     tree: List[Edge] = []
-    for edge in sorted(graph.edges()):
+    for edge in sorted(graph.edges(), key=attrgetter("weight")):
         if union_find.union(edge.u, edge.v):
             tree.append(edge)
     if union_find.components != 1:

@@ -36,7 +36,7 @@ not require numpy; *using* it does (:func:`require`).
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from .congest import DEFAULT_CONGEST_FACTOR, congest_budget_bits
 from .errors import (
@@ -184,46 +184,47 @@ class ArrayGraph:
         self.max_id = int(self.ids[-1])
         index_of = {node_id: idx for idx, node_id in enumerate(ids)}
 
-        ports_by_node = [dict(graph.ports_of(node_id)) for node_id in ids]
-        degrees = [len(ports) for ports in ports_by_node]
-        m2 = sum(degrees)  # number of *directed* edges
-        indptr = np.zeros(self.n + 1, dtype=np.int64)
-        np.cumsum(degrees, out=indptr[1:])
-        src = np.empty(m2, dtype=np.int64)
-        dst = np.empty(m2, dtype=np.int64)
-        weight = np.empty(m2, dtype=np.int64)
-        port = np.empty(m2, dtype=np.int64)
-        dst_port = np.empty(m2, dtype=np.int64)
-        edge = 0
-        max_weight = 1
-        for idx, ports in enumerate(ports_by_node):
+        # One pass over the port tables into flat per-field lists, edges
+        # in (source, port) order.
+        degrees: List[int] = []
+        src: List[int] = []
+        port: List[int] = []
+        dst: List[int] = []
+        dst_port: List[int] = []
+        weight: List[int] = []
+        for idx, node_id in enumerate(ids):
+            ports = graph.ports_of(node_id)
+            degrees.append(len(ports))
             for p in sorted(ports):
                 nbr, nbr_port, w = ports[p]
-                src[edge] = idx
-                dst[edge] = index_of[nbr]
-                weight[edge] = int(w)
-                port[edge] = p
-                dst_port[edge] = nbr_port
-                max_weight = max(max_weight, abs(int(w)))
-                edge += 1
+                src.append(idx)
+                port.append(p)
+                dst.append(index_of[nbr])
+                dst_port.append(nbr_port)
+                weight.append(w)
+        indptr = np.zeros(self.n + 1, dtype=np.int64)
+        np.cumsum(degrees, out=indptr[1:])
         self.indptr = indptr
-        self.src = src
-        self.dst = dst
-        self.weight = weight
-        self.port = port
+        self.src = np.array(src, dtype=np.int64)
+        self.dst = np.array(dst, dtype=np.int64)
+        self.weight = np.array(weight, dtype=np.int64)
+        self.port = np.array(port, dtype=np.int64)
         self.deg = np.diff(indptr)
-        self.max_weight = max_weight
+        self.max_weight = int(np.abs(self.weight).max(initial=1))
 
         # rev[e] = index of the reverse directed edge (dst -> src on the
-        # destination's port dst_port[e]).
-        port_pos: List[Dict[int, int]] = []
-        for idx, ports in enumerate(ports_by_node):
-            port_pos.append(
-                {p: int(indptr[idx]) + k for k, p in enumerate(sorted(ports))}
+        # destination's port dst_port[e]).  ``src * stride + port`` is
+        # ascending in edge order, so one binary search finds every
+        # reverse edge.
+        stride = int(self.port.max(initial=0)) + 1
+        key = self.src * stride + self.port
+        wanted = self.dst * stride + np.array(dst_port, dtype=np.int64)
+        rev = np.minimum(np.searchsorted(key, wanted), key.size - 1)
+        if not ((key[rev] == wanted) & (self.dst[rev] == self.src)).all():
+            raise ValueError(
+                "asymmetric port table: a (neighbour, port) entry has no "
+                "reverse entry pointing back"
             )
-        rev = np.empty(m2, dtype=np.int64)
-        for e in range(m2):
-            rev[e] = port_pos[int(dst[e])][int(dst_port[e])]
         self.rev = rev
 
     @property
@@ -239,14 +240,9 @@ def int_field_bits(values: Any) -> Any:
     The bit length comes from the ``frexp`` exponent, exact for all
     magnitudes below 2**53 (node IDs and weights are far below).
     """
-    v = np.abs(np.asarray(values, dtype=np.int64))
-    _, exponent = np.frexp(v.astype(np.float64))
-    return np.where(v != 0, exponent.astype(np.int64) + 3, 4)
-
-
-def scalar_payload_bits(values: Any, nothing: Any) -> Any:
-    """Bits of a scalar payload that is ``None`` at ``nothing`` positions."""
-    return np.where(nothing, NONE_BITS, int_field_bits(values))
+    v = np.abs(values)
+    _, exponent = np.frexp(v)
+    return np.where(v != 0, exponent + 3, 4)
 
 
 class BlockAccountant:
@@ -306,88 +302,114 @@ class BlockAccountant:
             self.awake += 1
             self.last_awake[:] = round_numbers
             return
-        self.awake[mask] += 1
-        if np.isscalar(round_numbers):
-            self.last_awake[mask] = round_numbers
-        else:
-            self.last_awake[mask] = round_numbers[mask]
+        self.awake += mask
+        np.copyto(self.last_awake, round_numbers, where=mask)
 
     # ------------------------------------------------------------------
     # Message accounting (all delivered: every receiver below is awake in
     # the sending round by the Transmission-Schedule invariants, so the
     # sleeping-loss branch of the coroutine engine can never fire here).
+    #
+    # Strict CONGEST raises for the over-budget message the coroutine
+    # engine sends first: the earliest send round of the block, then the
+    # lowest node ID (nodes due in one round step in ID order), then the
+    # first port the node's send dict lists.
     # ------------------------------------------------------------------
 
-    def _note_bits(
-        self, payload_bits: Any, senders: Any, sender_mask: Any = None
-    ) -> None:
-        """Fold a block's per-message payload sizes into max/violations.
+    def _over_budget(self, payload_bits: Any) -> Any:
+        """Fold one block's payload sizes into the maximum.
 
-        ``payload_bits`` and ``senders`` (node indices) are aligned,
-        one entry per message; ``sender_mask`` optionally selects a
-        subset of both.
+        Returns the mask of entries over the CONGEST budget, or ``None``
+        when none is.
         """
-        if sender_mask is not None:
-            if not np.any(sender_mask):
-                return
-            payload_bits = payload_bits[sender_mask]
-            senders = senders[sender_mask]
         if payload_bits.size == 0:
-            return
+            return None
         block_max = int(payload_bits.max())
         if block_max > self.max_message_bits:
             self.max_message_bits = block_max
-        if block_max > self.budget:
-            over = payload_bits > self.budget
-            if self.strict_congest:
-                first = int(np.nonzero(over)[0][0])
-                raise CongestViolation(
-                    int(self.graph.ids[senders[first]]),
-                    -1,
-                    int(payload_bits[first]),
-                    self.budget,
-                )
-            self.congest_violations += int(np.count_nonzero(over))
+        if block_max <= self.budget:
+            return None
+        return payload_bits > self.budget
+
+    def _violation(self, node: int, port: int, bits: int) -> CongestViolation:
+        return CongestViolation(
+            int(self.graph.ids[node]), int(port), int(bits), self.budget
+        )
+
+    def _lowest_port(self, node: int, toward: Any) -> int:
+        """``node``'s lowest port to a neighbour in the node mask ``toward``."""
+        g = self.graph
+        lo, hi = g.indptr[node], g.indptr[node + 1]
+        return int(g.port[lo:hi][toward[g.dst[lo:hi]]][0])
 
     def charge_side_exchange(self, payload_bits_per_node: Any) -> None:
         """All nodes send one message per port; all are delivered.
 
         ``payload_bits_per_node[v]`` is the size of the (uniform) payload
-        node ``v`` puts on every port this block.
+        node ``v`` puts on every port this block.  Every node sends in
+        the same round, on its ports in ascending order, so the first
+        message in CSR edge order is the first one sent.
         """
         g = self.graph
         self.msgs_sent += g.deg
         self.msgs_received += g.deg
         self.bits_sent += g.deg * payload_bits_per_node
-        self.bits_received += np.bincount(
-            g.dst, weights=payload_bits_per_node[g.src], minlength=g.n
-        ).astype(np.int64)
         # One message per directed edge; a payload sent on deg ports is
         # deg messages for violation counting.
-        self._note_bits(payload_bits_per_node[g.src], g.src)
+        edge_bits = payload_bits_per_node[g.src]
+        self.bits_received += np.bincount(
+            g.dst, weights=edge_bits, minlength=g.n
+        ).astype(np.int64)
+        over = self._over_budget(edge_bits)
+        if over is None:
+            return
+        if self.strict_congest:
+            edge = int(np.argmax(over))
+            raise self._violation(g.src[edge], g.port[edge], edge_bits[edge])
+        self.congest_violations += int(np.count_nonzero(over))
 
     def charge_up_messages(
-        self, sender_mask: Any, parent: Any, payload_bits_per_node: Any
+        self,
+        sender_mask: Any,
+        parent: Any,
+        level: Any,
+        payload_bits_per_node: Any,
     ) -> None:
-        """Each ``sender_mask`` node sends one message to its parent."""
-        if not np.any(sender_mask):
+        """Each ``sender_mask`` node sends one message to its parent.
+
+        A node at ``level`` sends in round ``Block.up_send(level)``, so
+        the deepest sender goes first.
+        """
+        senders = np.nonzero(sender_mask)[0]
+        if senders.size == 0:
             return
-        self.msgs_sent[sender_mask] += 1
-        self.bits_sent[sender_mask] += payload_bits_per_node[sender_mask]
-        parents = parent[sender_mask]
-        np.add.at(self.msgs_received, parents, 1)
-        np.add.at(
-            self.bits_received, parents, payload_bits_per_node[sender_mask]
-        )
-        self._note_bits(
-            payload_bits_per_node,
-            np.arange(self.graph.n, dtype=np.int64),
-            sender_mask,
-        )
+        n = self.graph.n
+        bits = payload_bits_per_node[senders]
+        parents = parent[senders]
+        self.msgs_sent[senders] += 1
+        self.bits_sent[senders] += bits
+        self.msgs_received += np.bincount(parents, minlength=n)
+        self.bits_received += np.bincount(
+            parents, weights=bits, minlength=n
+        ).astype(np.int64)
+        over = self._over_budget(bits)
+        if over is None:
+            return
+        if self.strict_congest:
+            culprits = senders[over]
+            first = int(culprits[np.argmax(level[culprits])])
+            raise self._violation(
+                first,
+                self._lowest_port(first, np.arange(n) == parent[first]),
+                payload_bits_per_node[first],
+            )
+        self.congest_violations += int(np.count_nonzero(over))
 
     def charge_down_messages(
         self,
         sender_mask: Any,
+        parent: Any,
+        level: Any,
         child_count: Any,
         receiver_mask: Any,
         payload_bits_per_node: Any,
@@ -401,32 +423,34 @@ class BlockAccountant:
         array serves both sides — pass ``receiver_bits`` (indexed by
         receiver) when the payload varies per sender (the merge down
         pass).
+
+        A node at ``level`` sends in round ``Block.down_send(level)``, so
+        the shallowest sender goes first, on its lowest child port: the
+        coroutine protocols send with ``dict.fromkeys`` over the set of
+        child ports, and a set of ints below 8 iterates in ascending
+        order (child ports at 8 or above may iterate in another order).
         """
-        if np.any(sender_mask):
-            fanout = child_count[sender_mask]
-            self.msgs_sent[sender_mask] += fanout
-            self.bits_sent[sender_mask] += (
-                fanout * payload_bits_per_node[sender_mask]
-            )
-            block_max = int(payload_bits_per_node[sender_mask].max())
-            if block_max > self.max_message_bits:
-                self.max_message_bits = block_max
-            if block_max > self.budget:
-                over_mask = sender_mask & (payload_bits_per_node > self.budget)
+        senders = np.nonzero(sender_mask)[0]
+        if senders.size:
+            fanout = child_count[senders]
+            bits = payload_bits_per_node[senders]
+            self.msgs_sent[senders] += fanout
+            self.bits_sent[senders] += fanout * bits
+            over = self._over_budget(bits)
+            if over is not None:
                 if self.strict_congest:
-                    first = int(np.nonzero(over_mask)[0][0])
-                    raise CongestViolation(
-                        int(self.graph.ids[first]),
-                        -1,
-                        int(payload_bits_per_node[first]),
-                        self.budget,
+                    culprits = senders[over]
+                    first = int(culprits[np.argmin(level[culprits])])
+                    raise self._violation(
+                        first,
+                        self._lowest_port(first, parent == first),
+                        payload_bits_per_node[first],
                     )
-                self.congest_violations += int(child_count[over_mask].sum())
-        if np.any(receiver_mask):
-            if receiver_bits is None:
-                receiver_bits = payload_bits_per_node
-            self.msgs_received[receiver_mask] += 1
-            self.bits_received[receiver_mask] += receiver_bits[receiver_mask]
+                self.congest_violations += int(fanout[over].sum())
+        if receiver_bits is None:
+            receiver_bits = payload_bits_per_node
+        self.msgs_received += receiver_mask
+        self.bits_received += receiver_mask * receiver_bits
 
     # ------------------------------------------------------------------
     # Finalization

@@ -18,6 +18,7 @@ import pytest
 np = pytest.importorskip("numpy")
 
 from repro.core import run_deterministic_mst, run_randomized_mst
+from repro.graphs import WeightedGraph
 from repro.orchestrator import GRAPH_FAMILIES, JobSpec, execute_job
 from repro.orchestrator.store import RunRecord
 from repro.sim import ENGINES, resolve_engine
@@ -66,7 +67,8 @@ class TestEngineResolution:
 
 class TestGoldenEquivalence:
     @pytest.mark.parametrize("family", ["path", "ring", "star", "grid", "gnp"])
-    @pytest.mark.parametrize("n", [2, 5, 16, 33])
+    # n=256 reaches depth 255 on the path: eight pointer-doubling steps.
+    @pytest.mark.parametrize("n", [2, 5, 16, 33, 256])
     def test_families_identical(self, family, n):
         if family == "ring" and n < 3:
             pytest.skip("a ring needs n >= 3")
@@ -120,13 +122,35 @@ class TestCongestParity:
         )
 
     def test_strict_raises_on_both_engines(self):
-        graph = GRAPH_FAMILIES["gnp"](16, 0, None)
-        with pytest.raises(CongestViolation):
-            run_randomized_mst(graph, seed=0, congest_factor=0.001)
-        with pytest.raises(CongestViolation):
-            run_randomized_mst(
-                graph, seed=0, congest_factor=0.001, engine="array"
-            )
+        cells = [
+            (GRAPH_FAMILIES["gnp"](16, 0, None), 0, 0.001),
+            # The first over-budget message is a broadcast's, and not the
+            # lowest node's: both engines must name the same sender and port.
+            (
+                WeightedGraph(
+                    [1, 2, 3, 4, 5],
+                    [(1, 3, 114011), (2, 5, 99544), (3, 4, 55), (4, 5, 4600305)],
+                ),
+                89,
+                1.5,
+            ),
+        ]
+        for graph, seed, congest_factor in cells:
+            raised = []
+            for engine in ENGINES:
+                with pytest.raises(CongestViolation) as info:
+                    run_randomized_mst(
+                        graph,
+                        seed=seed,
+                        congest_factor=congest_factor,
+                        engine=engine,
+                    )
+                error = info.value
+                raised.append(
+                    (error.node_id, error.port, error.bits, error.budget)
+                )
+            coroutine, array = raised
+            assert array == coroutine
 
     def test_congest_universe_override_identical(self):
         graph = GRAPH_FAMILIES["path"](8, 0, None)
