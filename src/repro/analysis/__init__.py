@@ -28,10 +28,8 @@ from .stats import (
 )
 from .timeline import Timeline, awake_timeline
 from .tables import (
-    ALGORITHMS,
     MeasuredRow,
     Table1,
-    generate_table1,
     render_table,
     table1_from_records,
     table1_from_store,
@@ -44,7 +42,6 @@ from .walkthrough import (
 )
 
 __all__ = [
-    "ALGORITHMS",
     "ContractionReport",
     "EnergyModel",
     "FitBand",
@@ -77,7 +74,6 @@ __all__ = [
     "sample_std",
     "seed_level_fit",
     "summarize",
-    "generate_table1",
     "geometric_mean",
     "phase_history",
     "render_table",

@@ -1,37 +1,58 @@
-"""Experiment drivers: one function per paper artifact (see DESIGN.md index).
+"""Experiment drivers: the producers of the EXPERIMENTS.md sections that are not grids.
 
-Each ``experiment_*`` function runs the measurements behind one EXPERIMENTS.md
-section and returns a structured dictionary; ``main()`` runs the whole suite
-and prints a report.  The benchmarks in ``benchmarks/`` call the same
-functions with smaller parameters, so numbers in EXPERIMENTS.md, the bench
-output, and this module always come from the same code path.
+Table 1 and its Theorem 4 product column are grids: they come from the
+committed campaign ``examples/campaigns/table1.toml`` and its report
+``CAMPAIGN_table1.json`` (laid out by :func:`repro.analysis.table1_from_records`).
+Every other section has exactly one producer: a driver here (Lemma 8 rides
+on ``fig1``, the Pipelined-GHS column on ``baseline_gap``).  Each driver
+runs at the fixed parameters behind the EXPERIMENTS.md numbers and returns
+plain JSON data — string keys, lists, ints, booleans, floats rounded to 4
+digits — with no timings, so the whole document is byte-stable.
+``repro experiments`` prints it; the committed ``EXPERIMENTS.json`` is that
+output::
 
-Run from a checkout::
-
-    python -m repro.analysis.experiments           # full suite
-    python -m repro.analysis.experiments --quick   # smaller sizes
+    python -m repro.cli experiments > EXPERIMENTS.json
+    python -m repro.cli experiments --only lemma1
 """
 
 from __future__ import annotations
 
-import argparse
-import inspect
 import math
-from typing import Any, Dict, List, Sequence
+from typing import Any, Dict, Iterable, List, Optional, Sequence
 
-from repro.baselines import run_flooding_broadcast, run_traditional_ghs
-from repro.core import run_deterministic_mst, run_randomized_mst
+from repro.baselines import (
+    run_flooding_broadcast,
+    run_pipelined_ghs,
+    run_traditional_ghs,
+)
+from repro.core import (
+    NOTHING,
+    block_span,
+    randomized_phase_count,
+    run_deterministic_mst,
+    run_randomized_mst,
+)
+from repro.core.coloring import STAGE_BLOCKS, fast_awake_coloring
+from repro.core.harness import FLDTPlan, run_procedure
+from repro.core.toolbox import fragment_broadcast, transmit_adjacent, upcast_min
 from repro.graphs import (
     adversarial_moe_chain,
+    path_graph,
     random_connected_graph,
+    random_tree,
     ring_graph,
 )
 from repro.lower_bounds import (
     GrcTopology,
+    awake_bound_from_congestion,
     certify_ring_run,
     congestion_lower_bound_bits,
+    cut_crossing_bits,
     dsd_marked_edges,
+    middle_cut,
     random_sd_instance,
+    row_cut_bits,
+    run_dsd_flooding,
     solve_sd_via_mst,
     theorem3_ring,
     theorem4_regime,
@@ -40,46 +61,44 @@ from repro.lower_bounds import (
 from .ablation import boruvka_merge_structure, worst_merge_diameter
 from .complexity import fit_scaling
 from .energy import EnergyModel
-from .tables import generate_table1, render_table
 from .walkthrough import run_merging_walkthrough
 
 
-def experiment_table1(quick: bool = False, workers: int = 1) -> Dict[str, Any]:
-    """T1-R / T1-D / BASE: measured Table 1 plus asymptotic fits.
+def _round(value: float) -> float:
+    return round(value, 4)
 
-    The (algorithm × n × seed) grids are submitted to the orchestrator;
-    ``workers > 1`` runs the cells in a process pool.
-    """
-    sizes = (16, 32, 64) if quick else (16, 32, 64, 128, 256)
-    det_sizes = (8, 16, 32) if quick else (8, 16, 32, 64, 96)
-    seeds = (0, 1) if quick else (0, 1, 2)
-    randomized = generate_table1(
-        sizes, seeds, algorithms=["Randomized-MST", "Traditional-GHS"],
-        workers=workers,
-    )
-    deterministic = generate_table1(
-        det_sizes, seeds, algorithms=["Deterministic-MST"], workers=workers
-    )
-    table = randomized
-    table.rows.extend(deterministic.rows)
+
+def _fit(ns: Sequence[float], ys: Sequence[float], model: str) -> Dict[str, Any]:
+    """A :func:`fit_scaling` result as plain data (``ScalingFit`` minus ratios)."""
+    fit = fit_scaling(ns, ys, model)
     return {
-        "table": table,
-        "rendered": render_table(table),
-        "fits": {
-            "randomized_awake": table.awake_fit("Randomized-MST"),
-            "randomized_rounds": table.rounds_fit("Randomized-MST", "nlog"),
-            "deterministic_awake": table.awake_fit("Deterministic-MST"),
-            "deterministic_rounds": table.rounds_fit("Deterministic-MST", "n2log"),
-            "traditional_awake": table.rounds_fit("Traditional-GHS", "nlog"),
-        },
+        "model": model,
+        "constant": _round(fit.constant),
+        "ratio_spread": _round(fit.ratio_spread),
     }
 
 
-def experiment_theorem3(quick: bool = False) -> Dict[str, Any]:
+def experiment_theorem2() -> Dict[str, Any]:
+    """T1-D: Theorem 2's N-dependence — fix n, grow the ID range N."""
+    rows = []
+    for factor in (1, 4, 16):
+        graph = ring_graph(16, seed=7, id_range=None if factor == 1 else factor * 16)
+        metrics = run_deterministic_mst(graph, verify=True).metrics
+        rows.append(
+            {
+                "N": graph.max_id,
+                "max_awake": metrics.max_awake,
+                "rounds": metrics.rounds,
+                "rounds_per_N": _round(metrics.rounds / graph.max_id),
+            }
+        )
+    return {"n": 16, "rows": rows}
+
+
+def experiment_theorem3() -> Dict[str, Any]:
     """T1-LB1: ring instances, knowledge growth, awake optimality."""
-    base_sizes = (4, 8, 16) if quick else (4, 8, 16, 32, 64)
     rows: List[Dict[str, Any]] = []
-    for n in base_sizes:
+    for n in (4, 8, 16, 32, 64):
         instance = theorem3_ring(n, seed=n)
         result = run_randomized_mst(
             instance.graph, seed=1, track_knowledge=True, verify=True
@@ -92,119 +111,171 @@ def experiment_theorem3(quick: bool = False) -> Dict[str, Any]:
                 "required_awake": certificate.required_awake,
                 "observed_awake": certificate.observed_awake,
                 "max_awake": result.metrics.max_awake,
-                "growth_factor": certificate.observed_growth,
+                "growth_factor": _round(certificate.observed_growth),
                 "holds": certificate.holds,
             }
         )
-    sizes = [row["ring_size"] for row in rows]
-    awakes = [row["max_awake"] for row in rows]
     return {
         "rows": rows,
-        "awake_fit": fit_scaling(sizes, awakes, "log"),
-        "all_certificates_hold": all(row["holds"] for row in rows),
+        "awake_fit": _fit(
+            [row["ring_size"] for row in rows],
+            [row["max_awake"] for row in rows],
+            "log",
+        ),
     }
 
 
-def experiment_theorem4(quick: bool = False, workers: int = 1) -> Dict[str, Any]:
-    """T1-LB2: the awake x rounds product sits at Ω̃(n) for everyone.
-
-    One orchestrator grid — (Randomized-MST, Traditional-GHS) × sizes on
-    the ``gnp`` family with seed ``n`` — executed with crash isolation
-    and optional parallelism instead of an in-process loop.
-    """
-    from repro.orchestrator import JobSpec, run_jobs
-
-    sizes = (16, 32, 64) if quick else (16, 32, 64, 128, 256)
-    specs = [
-        JobSpec.create(algorithm, "gnp", n, seed=n)
-        for n in sizes
-        for algorithm in ("Randomized-MST", "Traditional-GHS")
-    ]
-    report = run_jobs(specs, workers=workers)
-    if report.failed:
-        raise RuntimeError(f"theorem4 grid failed: {report.failures()[0].error}")
-    by_cell = {
-        (record.metrics["algorithm"], record.metrics["n"]): record.metrics
-        for record in report.records
-    }
-    rows: List[Dict[str, Any]] = []
-    for n in sizes:
-        randomized = by_cell[("Randomized-MST", n)]
-        traditional = by_cell[("Traditional-GHS", n)]
-        rows.append(
-            {
-                "n": n,
-                "randomized_product": randomized["awake_round_product"],
-                "traditional_product": traditional["awake_round_product"],
-                "randomized_product_per_n": randomized["awake_round_product"] / n,
-            }
-        )
-    products = [row["randomized_product"] for row in rows]
-    return {
-        "rows": rows,
-        # The randomized algorithm's product should scale as n * polylog(n):
-        # a clean n log^2 n, measured against the nlog model times log.
-        "product_fit_nlog": fit_scaling([r["n"] for r in rows], products, "nlog"),
-        "min_product_per_n": min(row["randomized_product_per_n"] for row in rows),
-    }
-
-
-def experiment_fig1_reduction(quick: bool = False) -> Dict[str, Any]:
-    """FIG1: G_rc structure + the SD → DSD → CSS → MST chain end to end."""
-    n_target = 120 if quick else 360
-    r, c = theorem4_regime(n_target)
+def experiment_fig1_reduction() -> Dict[str, Any]:
+    """FIG1 + LEMMA8: G_rc, the SD → DSD → CSS → MST chain, cut congestion."""
+    r, c = theorem4_regime(360)
     topology = GrcTopology(r, c)
     graph, _ = topology.to_weighted_graph()
-    structure = {
-        "r": r,
-        "c": c,
-        "n": topology.n,
-        "x_size": topology.x_size,
-        "edges": len(topology.edges),
-        "diameter": graph.diameter(),
-        "diameter_bound": topology.diameter_upper_bound(),
-        "c_over_log_n": c / math.log2(topology.n),
-    }
-    outcomes = []
-    for seed in range(4 if quick else 8):
-        force = seed % 2 == 0
-        instance = random_sd_instance(topology.r - 1, seed=seed, force_disjoint=force)
-        outcomes.append(solve_sd_via_mst(topology, instance))
-    # One distributed run with congestion accounting on the tree nodes.
+    outcomes = [
+        solve_sd_via_mst(
+            topology,
+            random_sd_instance(topology.r - 1, seed=seed, force_disjoint=seed % 2 == 0),
+        )
+        for seed in range(8)
+    ]
+    # One distributed run (an intersecting instance) with congestion
+    # accounting on the internal tree nodes I and across the R_j cuts.
     instance = random_sd_instance(topology.r - 1, seed=99, force_disjoint=False)
-    marked_graph, _threshold = topology.to_weighted_graph(
+    marked_graph, threshold = topology.to_weighted_graph(
         dsd_marked_edges(topology, instance)
     )
-    distributed = run_randomized_mst(marked_graph, seed=0, verify=True)
-    congestion = congestion_lower_bound_bits(
-        distributed.simulation, topology.internal_nodes
-    )
+    distributed = run_randomized_mst(marked_graph, seed=0, verify=True, trace=True)
+    trace = distributed.simulation.trace
+    middle_bits = cut_crossing_bits(trace, middle_cut(topology))
     return {
-        "structure": structure,
-        "oracle_all_correct": all(outcome.correct for outcome in outcomes),
+        "structure": {
+            "r": r,
+            "c": c,
+            "n": topology.n,
+            "x_size": topology.x_size,
+            "edges": len(topology.edges),
+            "diameter": graph.diameter(),
+            "diameter_bound": topology.diameter_upper_bound(),
+            "c_over_log_n": _round(c / math.log2(topology.n)),
+        },
+        "oracle_instances": len(outcomes),
+        "oracle_correct": sum(outcome.correct for outcome in outcomes),
         "css_matches_sd": all(
             outcome.css_connected == outcome.truth_disjoint for outcome in outcomes
         ),
         "distributed_awake": distributed.metrics.max_awake,
         "distributed_rounds": distributed.metrics.rounds,
-        "internal_tree_bits": congestion,
+        "heavy_edge_in_mst": any(w > threshold for w in distributed.mst_weights),
+        "internal_tree_bits": congestion_lower_bound_bits(
+            distributed.simulation, topology.internal_nodes
+        ),
+        "lemma8": {
+            "cut_bits": [
+                {"j": j, "bits": row_cut_bits(trace, topology, j)}
+                for j in (2, c // 4, c // 2, 3 * c // 4)
+            ],
+            "middle_cut_bits": middle_bits,
+            "implied_awake": awake_bound_from_congestion(
+                middle_bits,
+                len(topology.internal_nodes) or 1,
+                4,
+                distributed.metrics.max_message_bits or 1,
+            ),
+        },
     }
 
 
-def experiment_fig2_5(quick: bool = False) -> Dict[str, Any]:
+def experiment_observation1() -> Dict[str, Any]:
+    """OBS1: direct DSD on G_rc (r = 4) completes in O(D) rounds."""
+    rows = []
+    for c in (16, 32, 64, 128):
+        topology = GrcTopology(4, c)
+        graph, _ = topology.to_weighted_graph()
+        result = run_dsd_flooding(topology, random_sd_instance(topology.r - 1, seed=c))
+        rows.append(
+            {
+                "c": c,
+                "n": topology.n,
+                "diameter": graph.diameter(),
+                "completion_rounds": result.completion_rounds,
+                "relay_rounds": result.rounds,
+                "correct": result.correct,
+            }
+        )
+    return {"r": 4, "rows": rows}
+
+
+def experiment_fig2_5() -> Dict[str, Any]:
     """FIG2-5: the merging walk-through (asserts all figure invariants)."""
     walkthrough = run_merging_walkthrough()
+
+    def label(snapshot):
+        return {"fragment": snapshot.fragment_id, "level": snapshot.level}
+
     return {
         "u_tails": walkthrough.u_tails,
         "u_heads": walkthrough.u_heads,
-        "before": {n: (s.fragment_id, s.level) for n, s in walkthrough.before.items()},
-        "after": {n: (s.fragment_id, s.level) for n, s in walkthrough.after.items()},
+        "nodes": [
+            {
+                "node": node,
+                "before": label(walkthrough.before[node]),
+                "after": label(walkthrough.after[node]),
+            }
+            for node in sorted(walkthrough.before)
+        ],
     }
 
 
-def experiment_ablation_coin(quick: bool = False) -> Dict[str, Any]:
+def _broadcast(ctx, ldt, clock, value):
+    result = yield from fragment_broadcast(
+        ctx, ldt, clock.take(), 42 if ldt.is_root else NOTHING
+    )
+    return result
+
+
+def _upcast(ctx, ldt, clock, value):
+    result = yield from upcast_min(ctx, ldt, clock.take(), ctx.node_id)
+    return result
+
+
+def _adjacent(ctx, ldt, clock, value):
+    inbox = yield from transmit_adjacent(
+        ctx, ldt, clock.take(), ctx.broadcast(ctx.node_id)
+    )
+    return len(inbox)
+
+
+def experiment_toolbox() -> Dict[str, Any]:
+    """TOOLBOX: Observations 2-4 — O(1) awake inside one 2n+2 block."""
+    rows = []
+    for name, procedure, structure in (
+        ("Fragment-Broadcast", _broadcast, "tree"),
+        ("Upcast-Min", _upcast, "tree"),
+        ("Transmit-Adjacent", _adjacent, "singletons"),
+    ):
+        for n in (8, 32, 128, 512):
+            graph = path_graph(n, seed=1) if n <= 32 else random_tree(n, seed=1)
+            if structure == "tree":
+                plan = FLDTPlan.single_tree(graph, graph.node_ids[0])
+            else:
+                plan = FLDTPlan.singletons(graph)
+            metrics = run_procedure(
+                graph, plan, procedure, refresh_neighbors=False
+            ).simulation.metrics
+            rows.append(
+                {
+                    "procedure": name,
+                    "n": n,
+                    "max_awake": metrics.max_awake,
+                    "rounds": metrics.rounds,
+                    "block_span": block_span(n),
+                }
+            )
+    return {"rows": rows}
+
+
+def experiment_ablation_coin() -> Dict[str, Any]:
     """ABL-COIN: merge-component diameters with vs without coin pruning."""
-    n = 64 if quick else 256
+    n = 256
     chain = adversarial_moe_chain(n, seed=3)
     random_graph = random_connected_graph(n, extra_edge_prob=0.05, seed=3)
     rows = {}
@@ -217,25 +288,58 @@ def experiment_ablation_coin(quick: bool = False) -> Dict[str, Any]:
             "unrestricted_phases": len(unrestricted),
             "restricted_phases": len(restricted),
         }
-    return rows
+    return {"n": n, **rows}
 
 
-def experiment_baseline_gap(quick: bool = False) -> Dict[str, Any]:
-    """BASE: sleeping vs traditional awake complexity, plus flooding Θ(D)."""
-    sizes = (32, 64) if quick else (32, 64, 128, 256)
+def experiment_ablation_coloring() -> Dict[str, Any]:
+    """ABL-COLOR: Fast-Awake-Coloring — awake flat, rounds linear in N."""
+    n = 16
     rows = []
-    for n in sizes:
+    for factor in (1, 4, 16, 64):
+        graph = ring_graph(n, seed=3, id_range=None if factor == 1 else factor * n)
+
+        def procedure(ctx, ldt, clock, value, graph=graph):
+            outcome = yield from fast_awake_coloring(
+                ctx, ldt, clock, set(graph.neighbors(ctx.node_id)), set(ctx.ports)
+            )
+            return outcome
+
+        run = run_procedure(
+            graph, FLDTPlan.singletons(graph), procedure, refresh_neighbors=False
+        )
+        colors = {node: run.returns[node][0] for node in graph.node_ids}
+        metrics = run.simulation.metrics
+        rows.append(
+            {
+                "N": graph.max_id,
+                "max_awake": metrics.max_awake,
+                "rounds": metrics.rounds,
+                "budget": STAGE_BLOCKS * graph.max_id * block_span(n),
+                "proper": all(colors[e.u] != colors[e.v] for e in graph.edges()),
+            }
+        )
+    return {"n": n, "rows": rows}
+
+
+def experiment_baseline_gap() -> Dict[str, Any]:
+    """BASE: sleeping vs traditional vs Pipelined-GHS awake, plus flooding Θ(D)."""
+    rows = []
+    for n in (32, 64, 128, 256):
         graph = ring_graph(n, seed=n)
         sleeping = run_randomized_mst(graph, seed=0)
         traditional = run_traditional_ghs(graph, seed=0)
+        pipelined = run_pipelined_ghs(graph)
         flooding = run_flooding_broadcast(graph)
         rows.append(
             {
                 "n": n,
                 "sleeping_awake": sleeping.metrics.max_awake,
                 "traditional_awake": traditional.metrics.max_awake,
-                "gap": traditional.metrics.max_awake
-                / max(1, sleeping.metrics.max_awake),
+                "pipelined_awake": pipelined.metrics.max_awake,
+                "pipelined_mst_matches": pipelined.mst_weights == sleeping.mst_weights,
+                "gap": _round(
+                    traditional.metrics.max_awake / max(1, sleeping.metrics.max_awake)
+                ),
                 "flooding_awake": flooding.metrics.max_awake,
                 "diameter": n // 2,
             }
@@ -243,58 +347,64 @@ def experiment_baseline_gap(quick: bool = False) -> Dict[str, Any]:
     return {"rows": rows}
 
 
-def experiment_energy(quick: bool = False) -> Dict[str, Any]:
+def experiment_energy() -> Dict[str, Any]:
     """ENERGY: battery-lifetime implications of the awake gap."""
-    n = 48 if quick else 128
+    n = 128
     graph = random_connected_graph(n, extra_edge_prob=0.08, seed=5)
     model = EnergyModel()
-    sleeping = run_randomized_mst(graph, seed=0)
-    traditional = run_traditional_ghs(graph, seed=0)
+    sleeping = run_randomized_mst(graph, seed=0).metrics
+    traditional = run_traditional_ghs(graph, seed=0).metrics
     return {
         "n": n,
-        "sleeping_worst_energy_mj": model.max_node_energy(sleeping.metrics),
-        "traditional_worst_energy_mj": model.max_node_energy(traditional.metrics),
-        "sleeping_runs_per_battery": model.executions_per_battery(sleeping.metrics),
-        "traditional_runs_per_battery": model.executions_per_battery(
-            traditional.metrics
+        "sleeping_worst_energy_mj": _round(model.max_node_energy(sleeping)),
+        "traditional_worst_energy_mj": _round(model.max_node_energy(traditional)),
+        "sleeping_runs_per_battery": _round(model.executions_per_battery(sleeping)),
+        "traditional_runs_per_battery": _round(
+            model.executions_per_battery(traditional)
         ),
     }
 
 
-def experiment_lemma1(quick: bool = False) -> Dict[str, Any]:
-    """LEMMA1: per-phase fragment contraction >= 4/3 in expectation."""
+def experiment_lemma1() -> Dict[str, Any]:
+    """LEMMA1 + Lemma 2: per-phase contraction >= 4/3; fixed budget exact."""
     from .randomized_stats import contraction_statistics, fixed_mode_success_rate
 
-    n = 64 if quick else 128
-    seeds = range(10 if quick else 25)
-    rows = {}
+    n = 128
+    contraction = {}
     for name, graph in (
         ("random", random_connected_graph(n, 0.1, seed=n)),
         ("ring", ring_graph(n, seed=n)),
+        ("moe_chain", adversarial_moe_chain(n, seed=n)),
     ):
-        stats = contraction_statistics(graph, seeds=seeds)
-        rows[name] = {
-            "mean_ratio": round(stats.mean_ratio, 3),
-            "geometric_mean_ratio": round(stats.geometric_mean_ratio, 3),
+        stats = contraction_statistics(graph, seeds=range(20))
+        contraction[name] = {
+            "mean_ratio": _round(stats.mean_ratio),
+            "geometric_mean_ratio": _round(stats.geometric_mean_ratio),
             "worst_phase_count": max(stats.phases),
         }
     success = fixed_mode_success_rate(
-        random_connected_graph(24, 0.15, seed=3), seeds=range(3 if quick else 6)
+        random_connected_graph(32, 0.15, seed=7), seeds=range(5)
     )
     return {
-        "contraction": rows,
-        "fixed_mode_success": success.success_rate,
+        "n": n,
+        "seeds": 20,
+        "phase_budget": randomized_phase_count(n),
+        "contraction": contraction,
+        "fixed_mode": {
+            "n": 32,
+            "runs": success.runs,
+            "exact": success.successes,
+            "max_awake": success.max_awake,
+        },
     }
 
 
-def experiment_corollary1(quick: bool = False) -> Dict[str, Any]:
+def experiment_corollary1() -> Dict[str, Any]:
     """COR1: log*-coloring — rounds flat in N, small awake factor."""
     n = 16
-    factors = (1, 16) if quick else (1, 4, 16, 64)
     rows = []
-    for factor in factors:
-        id_range = None if factor == 1 else factor * n
-        graph = ring_graph(n, seed=5, id_range=id_range)
+    for factor in (1, 4, 16, 64):
+        graph = ring_graph(n, seed=5, id_range=None if factor == 1 else factor * n)
         fast = run_deterministic_mst(graph, coloring="fast-awake", verify=True)
         star = run_deterministic_mst(graph, coloring="log-star", verify=True)
         rows.append(
@@ -306,75 +416,73 @@ def experiment_corollary1(quick: bool = False) -> Dict[str, Any]:
                 "logstar_rounds": star.metrics.rounds,
             }
         )
+    return {"n": n, "rows": rows}
+
+
+def experiment_messages() -> Dict[str, Any]:
+    """MSG: Randomized-MST sends O(m) messages per phase and loses none."""
+    rows = []
+    for n in (32, 64, 128, 256):
+        graph = random_connected_graph(n, 0.1, seed=n)
+        result = run_randomized_mst(graph, seed=0, verify=True)
+        messages = result.metrics.messages_delivered
+        rows.append(
+            {
+                "n": n,
+                "m": graph.m,
+                "phases": result.phases,
+                "messages": messages,
+                "messages_per_edge_phase": _round(messages / (graph.m * result.phases)),
+                "bits": result.metrics.total_bits,
+                "lost": result.metrics.messages_lost,
+            }
+        )
     return {"rows": rows}
 
 
+def experiment_node_averaged() -> Dict[str, Any]:
+    """NODE-AVG: node-averaged awake tracks the worst case, both Θ(log n)."""
+    sizes = (16, 32, 64, 128)
+    rows = []
+    randomized_means = []
+    for n in sizes:
+        graph = random_connected_graph(n, 0.1, seed=n)
+        randomized = run_randomized_mst(graph, seed=0, verify=True).metrics
+        deterministic = run_deterministic_mst(graph, verify=True).metrics
+        randomized_means.append(randomized.mean_awake)
+        rows.append(
+            {
+                "n": n,
+                "randomized_mean": _round(randomized.mean_awake),
+                "randomized_max": randomized.max_awake,
+                "deterministic_mean": _round(deterministic.mean_awake),
+                "deterministic_max": deterministic.max_awake,
+            }
+        )
+    return {
+        "rows": rows,
+        "randomized_mean_fit": _fit(sizes, randomized_means, "log"),
+    }
+
+
 ALL_EXPERIMENTS = {
-    "table1": experiment_table1,
-    "theorem3": experiment_theorem3,
-    "theorem4": experiment_theorem4,
+    "ablation_coin": experiment_ablation_coin,
+    "ablation_coloring": experiment_ablation_coloring,
+    "baseline_gap": experiment_baseline_gap,
+    "corollary1": experiment_corollary1,
+    "energy": experiment_energy,
     "fig1": experiment_fig1_reduction,
     "fig2_5": experiment_fig2_5,
     "lemma1": experiment_lemma1,
-    "corollary1": experiment_corollary1,
-    "ablation_coin": experiment_ablation_coin,
-    "baseline_gap": experiment_baseline_gap,
-    "energy": experiment_energy,
+    "messages": experiment_messages,
+    "node_averaged": experiment_node_averaged,
+    "observation1": experiment_observation1,
+    "theorem2": experiment_theorem2,
+    "theorem3": experiment_theorem3,
+    "toolbox": experiment_toolbox,
 }
 
 
-def main(argv: Sequence[str] = None) -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--quick", action="store_true", help="smaller sizes")
-    parser.add_argument(
-        "--only",
-        choices=sorted(ALL_EXPERIMENTS),
-        action="append",
-        help="run a subset of experiments",
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="worker processes for grid-shaped experiments",
-    )
-    args = parser.parse_args(argv)
-    chosen = args.only or sorted(ALL_EXPERIMENTS)
-    for name in chosen:
-        print(f"\n=== {name} ===")
-        driver = ALL_EXPERIMENTS[name]
-        kwargs: Dict[str, Any] = {"quick": args.quick}
-        if "workers" in inspect.signature(driver).parameters:
-            kwargs["workers"] = args.workers
-        outcome = driver(**kwargs)
-        if name == "table1":
-            print(outcome["rendered"])
-            for fit_name, fit in outcome["fits"].items():
-                print(
-                    f"  {fit_name}: constant={fit.constant:.2f} "
-                    f"spread={fit.ratio_spread:.2f} ({fit.model})"
-                )
-        else:
-            _print_nested(outcome)
-
-
-def _print_nested(value: Any, indent: int = 1) -> None:
-    prefix = "  " * indent
-    if isinstance(value, dict):
-        for key, inner in value.items():
-            if isinstance(inner, (dict, list)):
-                print(f"{prefix}{key}:")
-                _print_nested(inner, indent + 1)
-            else:
-                print(f"{prefix}{key}: {inner}")
-    elif isinstance(value, list):
-        for item in value:
-            _print_nested(item, indent)
-            if isinstance(item, dict):
-                print()
-    else:
-        print(f"{prefix}{value}")
-
-
-if __name__ == "__main__":
-    main()
+def build_experiments(only: Optional[Iterable[str]] = None) -> Dict[str, Any]:
+    """Run the chosen drivers (all by default): the ``EXPERIMENTS.json`` document."""
+    return {name: ALL_EXPERIMENTS[name]() for name in (only or ALL_EXPERIMENTS)}

@@ -9,10 +9,10 @@ it means measuring AT and RT across sizes and exhibiting that
 * both sit above the AT bound Ω(log n) and the AT × RT bound Ω̃(n);
 * the traditional-model comparator pays AT = RT.
 
-:func:`generate_table1` runs everything — through the orchestrator, so
-grids parallelise with ``workers`` and repeat runs hit the result cache —
-and returns structured rows; :func:`table1_from_records` builds the same
-rows from any orchestrator run-store ledger; :func:`render_table` prints
+The measurements are the committed campaign
+``examples/campaigns/table1.toml`` (report: ``CAMPAIGN_table1.json``).
+:func:`table1_from_records` builds the rows from that report's records,
+or from any orchestrator run-store ledger; :func:`render_table` prints
 them in the paper's layout.
 """
 
@@ -20,28 +20,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, List, Optional, Sequence, Union
+from typing import Iterable, List, Optional, Sequence, Union
 
-from repro.graphs import WeightedGraph
-from repro.orchestrator import (
-    ALGORITHMS,
-    ResultCache,
-    RunRecord,
-    RunStore,
-    STATUS_OK,
-    expand_grid,
-    load_records,
-    run_jobs,
-)
+from repro.orchestrator import RunRecord, STATUS_OK, load_records
 
 from .complexity import fit_scaling
 from .stats import mean
 
 __all__ = [
-    "ALGORITHMS",
     "MeasuredRow",
     "Table1",
-    "generate_table1",
     "render_table",
     "table1_from_records",
     "table1_from_store",
@@ -105,9 +93,9 @@ def table1_from_records(
 ) -> Table1:
     """Aggregate orchestrator records into Table 1 rows.
 
-    Seeds at the same (algorithm, n) are averaged, mirroring the live
-    measurement path, so a table fitted from a stored JSONL ledger is
-    identical to one measured in-process.
+    Seeds at the same (algorithm, n) are averaged, so a table fitted
+    from a stored JSONL ledger is identical to one fitted from the
+    campaign report that journalled it.
     """
     grouped: dict = {}
     for record in records:
@@ -148,66 +136,6 @@ def table1_from_records(
 def table1_from_store(path) -> Table1:
     """Fit Table 1 straight from a run-store JSONL file."""
     return table1_from_records(load_records(path))
-
-
-def generate_table1(
-    sizes: Sequence[int] = (16, 32, 64, 128),
-    seeds: Sequence[int] = (0, 1, 2),
-    graph_factory: Optional[Callable[[int, int], WeightedGraph]] = None,
-    algorithms: Optional[Sequence[str]] = None,
-    *,
-    workers: int = 1,
-    cache: Optional[ResultCache] = None,
-    store: Optional[Union[RunStore, str]] = None,
-) -> Table1:
-    """Measure every Table 1 algorithm across ``sizes`` x ``seeds``.
-
-    Without a custom ``graph_factory`` the grid (on the default ``gnp``
-    family) runs through the orchestrator, honouring ``workers``,
-    ``cache``, and ``store``.  A custom factory falls back to the direct
-    in-process loop (arbitrary callables cannot be content-hashed).
-    """
-    chosen = list(algorithms) if algorithms else list(ALGORITHMS)
-    if graph_factory is None:
-        specs = expand_grid(chosen, ["gnp"], sizes, seeds)
-        report = run_jobs(specs, workers=workers, cache=cache, store=store)
-        failures = report.failures()
-        if failures:
-            first = failures[0]
-            raise RuntimeError(
-                f"{len(failures)}/{report.total} Table 1 cells failed; "
-                f"first: {first.spec} -> {first.error}"
-            )
-        return table1_from_records(report.records, algorithms=chosen)
-
-    table = Table1()
-    for name in chosen:
-        runner = ALGORITHMS[name]
-        for n in sizes:
-            awake_total = rounds_total = product_total = 0.0
-            correct = 0
-            for seed in seeds:
-                graph = graph_factory(n, seed)
-                result = runner(graph, seed)
-                awake_total += result.metrics.max_awake
-                rounds_total += result.metrics.rounds
-                product_total += result.metrics.awake_round_product
-                if result.is_correct_mst(graph):
-                    correct += 1
-            count = len(seeds)
-            table.rows.append(
-                MeasuredRow(
-                    algorithm=name,
-                    n=n,
-                    max_id=graph_factory(n, seeds[0]).max_id,
-                    max_awake=awake_total / count,
-                    rounds=rounds_total / count,
-                    product=product_total / count,
-                    correct_runs=correct,
-                    total_runs=count,
-                )
-            )
-    return table
 
 
 def render_table(table: Table1) -> str:

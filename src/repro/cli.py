@@ -40,11 +40,10 @@ Subcommands
     held; with ``--faults`` the report names the *first* invariant the
     injected faults broke.  Monitored grids run as ``batch --monitors``
     or as campaign grids (``examples/campaigns/ci.toml``).
-``table1``
-    Regenerate Table 1 across sizes and print the fitted constants.
 ``experiments``
-    Run the full experiment suite (delegates to
-    :mod:`repro.analysis.experiments`).
+    Run the non-grid paper experiments (:mod:`repro.analysis.experiments`)
+    and print them as JSON; the committed ``EXPERIMENTS.json`` is this
+    output.  Table 1 is the campaign ``examples/campaigns/table1.toml``.
 ``walkthrough``
     Print the Figures 2-5 merging walk-through.
 
@@ -58,13 +57,15 @@ Examples::
         --output trace.json
     python -m repro.cli run --algorithm deterministic --coloring log-star \
         --graph gnp --n 32 --id-range 512
-    python -m repro.cli table1 --sizes 16 32 64
     python -m repro.cli batch --algorithms randomized deterministic \
         --families ring gnp --sizes 16 32 --seeds 3 --workers 4
     python -m repro.cli campaign run examples/campaigns/crossover.toml \
         --workers 4
     python -m repro.cli campaign run examples/campaigns/compare.toml \
         --output PROBLEMS_compare.json
+    python -m repro.cli campaign run examples/campaigns/table1.toml \
+        --output CAMPAIGN_table1.json
+    python -m repro.cli experiments > EXPERIMENTS.json
     python -m repro.cli serve --port 8732 --root /tmp/repro-service
     python -m repro.cli submit --url http://127.0.0.1:8732 \
         --families ring --sizes 16 --seeds 3 --wait
@@ -951,34 +952,18 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     return exit_code
 
 
-def _cmd_table1(args: argparse.Namespace) -> int:
-    from repro.analysis import generate_table1, render_table
-
-    table = generate_table1(
-        sizes=tuple(args.sizes),
-        seeds=tuple(range(args.seeds)),
-        algorithms=args.algorithms,
-        workers=args.workers,
-    )
-    print(render_table(table))
-    for name in args.algorithms or []:
-        fit = table.awake_fit(name)
-        print(f"{name}: awake = {fit.constant:.2f} x log2 n "
-              f"(spread {fit.ratio_spread:.2f})")
-    return 0
-
-
 def _cmd_experiments(args: argparse.Namespace) -> int:
-    from repro.analysis.experiments import main as experiments_main
+    from repro.analysis.experiments import ALL_EXPERIMENTS, build_experiments
 
-    forwarded = []
-    if args.quick:
-        forwarded.append("--quick")
-    if args.workers != 1:
-        forwarded.extend(["--workers", str(args.workers)])
-    for name in args.only or []:
-        forwarded.extend(["--only", name])
-    experiments_main(forwarded)
+    unknown = sorted(set(args.only or ()) - set(ALL_EXPERIMENTS))
+    if unknown:
+        print(
+            f"unknown experiment(s) {unknown}; choose from "
+            f"{sorted(ALL_EXPERIMENTS)}",
+            file=sys.stderr,
+        )
+        return 2
+    print(json.dumps(build_experiments(args.only), indent=2, sort_keys=True))
     return 0
 
 
@@ -1443,24 +1428,13 @@ def build_parser() -> argparse.ArgumentParser:
     bench_parser.add_argument("--quiet", action="store_true")
     bench_parser.set_defaults(func=_cmd_bench)
 
-    table_parser = subparsers.add_parser("table1", help="regenerate Table 1")
-    table_parser.add_argument("--sizes", type=int, nargs="+", default=[16, 32, 64])
-    table_parser.add_argument("--seeds", type=int, default=2)
-    table_parser.add_argument(
-        "--algorithms",
-        nargs="+",
-        default=["Randomized-MST", "Traditional-GHS"],
-        choices=["Randomized-MST", "Deterministic-MST", "Traditional-GHS"],
-    )
-    table_parser.add_argument("--workers", type=int, default=1)
-    table_parser.set_defaults(func=_cmd_table1)
-
     experiments_parser = subparsers.add_parser(
-        "experiments", help="run the experiment suite"
+        "experiments", help="print the non-grid paper experiments as JSON"
     )
-    experiments_parser.add_argument("--quick", action="store_true")
-    experiments_parser.add_argument("--only", action="append")
-    experiments_parser.add_argument("--workers", type=int, default=1)
+    experiments_parser.add_argument(
+        "--only", action="append", metavar="NAME",
+        help="run only this experiment (repeatable)",
+    )
     experiments_parser.set_defaults(func=_cmd_experiments)
 
     walkthrough_parser = subparsers.add_parser(

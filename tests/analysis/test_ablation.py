@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pytest
+
 from repro.analysis import boruvka_merge_structure, worst_merge_diameter
 from repro.graphs import (
     adversarial_moe_chain,
@@ -28,6 +30,19 @@ class TestMergeStructure:
     def test_restricted_stars_on_random_graphs_too(self):
         graph = random_connected_graph(48, 0.1, seed=2)
         stats = boruvka_merge_structure(graph, restricted=True, seed=3)
+        assert worst_merge_diameter(stats) <= 2
+
+    @pytest.mark.parametrize("n", [32, 64, 128, 256])
+    def test_coin_flips_cap_chain_merges_at_every_size(self, n):
+        """Unrestricted merging on the chain costs a Θ(n)-diameter merge;
+        coin flips keep chain and random-graph merges stars."""
+        chain = adversarial_moe_chain(n, seed=n)
+        unrestricted = boruvka_merge_structure(chain, restricted=False, seed=1)
+        restricted = boruvka_merge_structure(chain, restricted=True, seed=1)
+        assert worst_merge_diameter(unrestricted) >= n - 2
+        assert worst_merge_diameter(restricted) <= 2
+        graph = random_connected_graph(n, 0.08, seed=n)
+        stats = boruvka_merge_structure(graph, restricted=True, seed=1)
         assert worst_merge_diameter(stats) <= 2
 
     def test_unrestricted_boruvka_few_phases(self):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -54,31 +56,20 @@ class TestSubcommands:
         assert main(["run", "--algorithm", "spanning-tree", "--n", "12"]) == 0
         assert "spanning tree    : True" in capsys.readouterr().out
 
-    def test_table1(self, capsys):
-        code = main(
-            [
-                "table1",
-                "--sizes",
-                "8",
-                "16",
-                "--seeds",
-                "1",
-                "--algorithms",
-                "Randomized-MST",
-            ]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "Randomized-MST" in out and "awake =" in out
-
     def test_walkthrough(self, capsys):
         assert main(["walkthrough"]) == 0
         out = capsys.readouterr().out
         assert "Figure 2" in out and "Figure 5" in out
 
     def test_experiments_subset(self, capsys):
-        assert main(["experiments", "--quick", "--only", "fig2_5"]) == 0
-        assert "fig2_5" in capsys.readouterr().out
+        assert main(["experiments", "--only", "fig2_5"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert list(payload) == ["fig2_5"]
+        assert payload["fig2_5"]["u_tails"] == 5
+
+    def test_experiments_rejects_unknown_name(self, capsys):
+        assert main(["experiments", "--only", "table1"]) == 2
+        assert "unknown experiment" in capsys.readouterr().err
 
     def test_run_with_save_trace(self, tmp_path, capsys):
         target = tmp_path / "run.jsonl"

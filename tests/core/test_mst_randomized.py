@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.analysis import fit_scaling
 from repro.core import (
     randomized_phase_count,
     run_randomized_mst,
@@ -142,6 +143,9 @@ class TestComplexity:
         # O(log n) keeps the overall factor near 2.
         assert large / small < 6.0
         assert medium / small < 3.0
+        # ...and awake / log2 n wanders by less than 3x across the sizes.
+        fit = fit_scaling([16, 64, 256], [small, medium, large], "log")
+        assert fit.is_bounded(3.0), fit
 
     def test_rounds_within_phase_budget(self):
         """Round complexity is exactly bounded by blocks/phase x span."""

@@ -84,10 +84,10 @@ class TestEnergyStory:
 class TestExperimentDrivers:
     def test_fig2_5_driver(self):
         outcome = experiment_fig2_5()
-        assert len({frag for frag, _ in outcome["after"].values()}) == 1
+        assert len({node["after"]["fragment"] for node in outcome["nodes"]}) == 1
 
     def test_ablation_driver_quick(self):
-        outcome = experiment_ablation_coin(quick=True)
+        outcome = experiment_ablation_coin()
         chain = outcome["moe_chain"]
         assert chain["restricted_worst_diameter"] <= 2
         assert chain["unrestricted_worst_diameter"] > 10

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.bench.suites import payload_corpus
 from repro.sim.congest import (
     CACHE_CAPACITY,
     CongestPolicy,
@@ -125,6 +126,21 @@ class TestCacheBehaviour:
         for i in range(CACHE_CAPACITY + 5):  # force a clear-and-refill
             policy.check(("flood", i))
         for payload in probes:
+            assert policy.check(payload) == payload_bits(payload)
+
+    def test_payload_corpus_flat_shapes_compile(self):
+        """Every flat tuple shape in the ``repro bench`` payload corpus
+        compiles to a sizer; only the deliberately nested shape falls back
+        to the recursive reference."""
+        policy = CongestPolicy(10**6, strict=False)
+        corpus = payload_corpus()
+        for payload in corpus:
+            policy.check(payload)
+        flat_shapes = sum(
+            1 for _, sizer in policy._shape_table.values() if sizer is not None
+        )
+        assert flat_shapes >= len(policy._shape_table) - 1
+        for payload in corpus:
             assert policy.check(payload) == payload_bits(payload)
 
     def test_distinct_policies_have_distinct_caches(self):
