@@ -6,8 +6,10 @@ import pytest
 
 from repro.graphs import mst_weight_set, path_graph
 from repro.invariants import (
+    DEFAULT_BLOCK_AWAKE_BUDGET,
     MONITOR_NAMES,
     MONITOR_REGISTRY,
+    AwakeBudgetMonitor,
     FragmentCountMonitor,
     InvariantViolation,
     MonitorSet,
@@ -16,6 +18,7 @@ from repro.invariants import (
     build_monitor_set,
     resolve_monitor_spec,
 )
+from repro.obs import SpanRecord
 
 
 class TestSpecResolution:
@@ -185,3 +188,43 @@ class TestFragmentCountMonitor:
             monitor.check_group("phase_end", 1, self.phase_end([1, 2, 3], 1))
         )
         assert violations and "Blue" in violations[0].message
+
+
+def block_record(name, awake):
+    return SpanRecord(
+        node=5, path=("phase:3", name), awake=awake, messages=0, bits=0,
+        first_round=1, last_round=awake, extent_first=1, extent_last=awake,
+        index=0,
+    )
+
+
+class TestAwakeBudgetMonitor:
+    def attached(self, monitor):
+        monitors = MonitorSet([monitor])
+        graph = path_graph(2, seed=1)
+        monitors.attach(graph, sorted(graph.node_ids), seed=0)
+        return monitors
+
+    def test_custom_budget_below_every_default_flags(self):
+        monitor = AwakeBudgetMonitor(budgets={"block:x": 0})
+        violations = list(monitor.on_span_close(block_record("block:x", 1)))
+        assert [v.block for v in violations] == ["block:x"]
+        assert violations[0].phase == 3 and violations[0].node == 5
+        monitors = self.attached(AwakeBudgetMonitor(budgets={"block:x": 0}))
+        monitors.on_span_close(block_record("block:x", 1))
+        assert len(monitors.report) == 1
+
+    def test_default_budget_applies_to_unlisted_blocks(self):
+        assert DEFAULT_BLOCK_AWAKE_BUDGET == 4
+        monitors = self.attached(AwakeBudgetMonitor())
+        monitors.on_span_close(block_record("block:other", 4))
+        assert len(monitors.report) == 0
+        monitors.on_span_close(block_record("block:other", 5))
+        assert [v.block for v in monitors.violations] == ["block:other"]
+        assert "5 awake rounds" in monitors.violations[0].message
+
+    def test_strict_mode_raises_on_an_over_budget_block(self):
+        monitors = MonitorSet([AwakeBudgetMonitor()], mode="strict")
+        monitors.on_span_close(block_record("block:upcast_moe", 2))
+        with pytest.raises(InvariantViolation):
+            monitors.on_span_close(block_record("block:upcast_moe", 3))
