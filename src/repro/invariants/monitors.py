@@ -29,6 +29,7 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .checks import (
     BLOCK_AWAKE_BUDGETS,
+    DEFAULT_BLOCK_AWAKE_BUDGET,
     check_block_awake,
     check_coloring_legal,
     check_congest_budget,
@@ -254,8 +255,14 @@ class AwakeBudgetMonitor(InvariantMonitor):
 
     def __init__(self, budgets: Optional[Dict[str, int]] = None):
         self.budgets = dict(BLOCK_AWAKE_BUDGETS if budgets is None else budgets)
+        # No span within the smallest budget can exceed its own, so most
+        # closed spans are settled by one comparison.  The budgets are
+        # fixed at construction.
+        self._floor = min((DEFAULT_BLOCK_AWAKE_BUDGET, *self.budgets.values()))
 
     def on_span_close(self, record):
+        if record.awake <= self._floor:
+            return ()
         return check_block_awake(record, self.budgets)
 
 
@@ -458,7 +465,9 @@ class MonitorSet:
 
     def on_span_close(self, record: Any) -> None:
         for monitor in self._span_monitors:
-            self._record(monitor.on_span_close(record))
+            violations = monitor.on_span_close(record)
+            if violations:
+                self._record(violations)
 
     def finalize(
         self,

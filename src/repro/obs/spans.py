@@ -30,7 +30,7 @@ check per call site.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 from typing import Any, Dict, List, Optional, Tuple
 
 from .registry import MetricsRegistry
@@ -42,7 +42,6 @@ ROOT_PATH: Tuple[str, ...] = ()
 UNATTRIBUTED = "(unattributed)"
 
 
-@dataclass(frozen=True)
 class SpanRecord:
     """One closed span instance of one node.
 
@@ -52,18 +51,89 @@ class SpanRecord:
     ``extent_last`` additionally cover every descendant span, which is what
     trace timelines want.  ``index`` is the global open order — a stable
     sort key.
+
+    Immutable like a frozen dataclass (keyword or positional construction;
+    field-wise ``==``, ``hash`` and ``repr``; assignment and deletion raise
+    :class:`dataclasses.FrozenInstanceError`; picklable), but a plain
+    ``__slots__`` class, which is cheaper to construct: every closed span
+    of an observed run builds one (``docs/performance.md``, "Observed
+    path").
     """
 
-    node: int
-    path: Tuple[str, ...]
-    awake: int
-    messages: int
-    bits: int
-    first_round: Optional[int]
-    last_round: Optional[int]
-    extent_first: Optional[int]
-    extent_last: Optional[int]
-    index: int
+    __slots__ = (
+        "node",
+        "path",
+        "awake",
+        "messages",
+        "bits",
+        "first_round",
+        "last_round",
+        "extent_first",
+        "extent_last",
+        "index",
+    )
+
+    def __init__(
+        self,
+        node: int,
+        path: Tuple[str, ...],
+        awake: int,
+        messages: int,
+        bits: int,
+        first_round: Optional[int],
+        last_round: Optional[int],
+        extent_first: Optional[int],
+        extent_last: Optional[int],
+        index: int,
+    ) -> None:
+        _set_node(self, node)
+        _set_path(self, path)
+        _set_awake(self, awake)
+        _set_messages(self, messages)
+        _set_bits(self, bits)
+        _set_first_round(self, first_round)
+        _set_last_round(self, last_round)
+        _set_extent_first(self, extent_first)
+        _set_extent_last(self, extent_last)
+        _set_index(self, index)
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def _astuple(self) -> Tuple[Any, ...]:
+        return (
+            self.node,
+            self.path,
+            self.awake,
+            self.messages,
+            self.bits,
+            self.first_round,
+            self.last_round,
+            self.extent_first,
+            self.extent_last,
+            self.index,
+        )
+
+    def __eq__(self, other: Any) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._astuple() == other._astuple()
+
+    def __hash__(self) -> int:
+        return hash(self._astuple())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(
+            f"{name}={value!r}"
+            for name, value in zip(self.__slots__, self._astuple())
+        )
+        return f"SpanRecord({fields})"
+
+    def __reduce__(self) -> Tuple[Any, ...]:
+        return (SpanRecord, self._astuple())
 
     @property
     def name(self) -> str:
@@ -91,12 +161,32 @@ class SpanRecord:
         }
 
 
+# Writing through the slot descriptors skips the raising ``__setattr__``
+# and is cheaper than ``object.__setattr__``.
+_set_node = SpanRecord.node.__set__  # type: ignore[attr-defined]
+_set_path = SpanRecord.path.__set__  # type: ignore[attr-defined]
+_set_awake = SpanRecord.awake.__set__  # type: ignore[attr-defined]
+_set_messages = SpanRecord.messages.__set__  # type: ignore[attr-defined]
+_set_bits = SpanRecord.bits.__set__  # type: ignore[attr-defined]
+_set_first_round = SpanRecord.first_round.__set__  # type: ignore[attr-defined]
+_set_last_round = SpanRecord.last_round.__set__  # type: ignore[attr-defined]
+_set_extent_first = SpanRecord.extent_first.__set__  # type: ignore[attr-defined]
+_set_extent_last = SpanRecord.extent_last.__set__  # type: ignore[attr-defined]
+_set_index = SpanRecord.index.__set__  # type: ignore[attr-defined]
+
+
 class _OpenSpan:
-    """Mutable accumulator for a span that is still on some node's stack."""
+    """A span on some node's stack: its own context manager and accumulator.
+
+    :meth:`NodeObs.span` returns one; ``__enter__`` gives it its path and
+    global open index and pushes it, ``__exit__`` pops and closes it.
+    """
 
     __slots__ = (
-        "node",
+        "obs",
+        "name",
         "path",
+        "index",
         "awake",
         "messages",
         "bits",
@@ -104,12 +194,11 @@ class _OpenSpan:
         "last_round",
         "extent_first",
         "extent_last",
-        "index",
     )
 
-    def __init__(self, node: int, path: Tuple[str, ...], index: int):
-        self.node = node
-        self.path = path
+    def __init__(self, obs: "NodeObs", name: str):
+        self.obs = obs
+        self.name = name
         self.awake = 0
         self.messages = 0
         self.bits = 0
@@ -117,44 +206,62 @@ class _OpenSpan:
         self.last_round: Optional[int] = None
         self.extent_first: Optional[int] = None
         self.extent_last: Optional[int] = None
-        self.index = index
 
-    def record(self) -> SpanRecord:
-        return SpanRecord(
-            node=self.node,
-            path=self.path,
-            awake=self.awake,
-            messages=self.messages,
-            bits=self.bits,
-            first_round=self.first_round,
-            last_round=self.last_round,
-            extent_first=self.extent_first,
-            extent_last=self.extent_last,
-            index=self.index,
-        )
-
-
-class _SpanContext:
-    """The context manager handed out by :meth:`NodeObs.span`."""
-
-    __slots__ = ("_obs", "_name")
-
-    def __init__(self, obs: "NodeObs", name: str):
-        self._obs = obs
-        self._name = name
-
-    def __enter__(self) -> "_SpanContext":
-        self._obs._push(self._name)
+    def __enter__(self) -> "_OpenSpan":
+        obs = self.obs
+        stack = obs._stack
+        recorder = obs.recorder
+        self.path = stack[-1].path + (self.name,)
+        self.index = recorder._index
+        recorder._index += 1
+        stack.append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
+        obs = self.obs
         # An exception unwinds every open span before the engine can ask
         # which one the node died in; remember the innermost label so
         # NodeCrashed can still name it.
-        if exc_type is not None and self._obs._crash_label is None:
-            self._obs._crash_label = self._obs.current_label()
-        self._obs._pop()
+        if exc_type is not None and obs._crash_label is None:
+            obs._crash_label = obs.current_label()
+        stack = obs._stack
+        if len(stack) <= 1:
+            raise RuntimeError(
+                f"node {obs.node}: span stack underflow (unbalanced exit)"
+            )
+        stack.pop()._close(stack)
         return False
+
+    def _close(self, stack: List["_OpenSpan"]) -> None:
+        """Record this span, just popped off ``stack``, and fold its extent
+        into the new top."""
+        extent_last = self.extent_last
+        if stack and extent_last is not None:
+            # A node's charged rounds strictly increase, and while this
+            # span was open every charge went to it or its descendants.
+            # So its extent starts after, and ends after, everything its
+            # parent covers so far: min/max reduce to these two writes.
+            parent = stack[-1]
+            if parent.extent_first is None:
+                parent.extent_first = self.extent_first
+            parent.extent_last = extent_last
+        recorder = self.obs.recorder
+        record = SpanRecord(
+            self.obs.node,
+            self.path,
+            self.awake,
+            self.messages,
+            self.bits,
+            self.first_round,
+            self.last_round,
+            self.extent_first,
+            extent_last,
+            self.index,
+        )
+        recorder.spans.records.append(record)
+        monitors = recorder.monitors
+        if monitors is not None:
+            monitors.on_span_close(record)
 
 
 class SpanLog:
@@ -162,9 +269,6 @@ class SpanLog:
 
     def __init__(self) -> None:
         self.records: List[SpanRecord] = []
-
-    def add(self, record: SpanRecord) -> None:
-        self.records.append(record)
 
     def __len__(self) -> int:
         return len(self.records)
@@ -215,15 +319,20 @@ class NodeObs:
         self.node = node
         self._crash_label: Optional[str] = None
         self._last_round: int = 0
-        self._stack: List[_OpenSpan] = [
-            _OpenSpan(node, ROOT_PATH, recorder._next_index())
-        ]
+        root = _OpenSpan(self, "")
+        root.path = ROOT_PATH
+        root.index = recorder._index
+        recorder._index += 1
+        self._stack: List[_OpenSpan] = [root]
 
     # -- protocol-facing API -------------------------------------------
 
-    def span(self, parts: Tuple[Any, ...]) -> _SpanContext:
-        name = ":".join(str(part) for part in parts)
-        return _SpanContext(self, name)
+    def span(self, parts: Tuple[Any, ...]) -> _OpenSpan:
+        """A span named by ``parts`` joined with ``:``; enter it to open it."""
+        if len(parts) == 1 and parts[0].__class__ is str:
+            # Every block span has a one-string name: use it as given.
+            return _OpenSpan(self, parts[0])
+        return _OpenSpan(self, ":".join(map(str, parts)))
 
     def count(self, name: str, value: float = 1, **labels: Any) -> None:
         self.recorder.registry.counter(name).inc(value, **labels)
@@ -252,9 +361,11 @@ class NodeObs:
             top.extent_first = round_number
         top.extent_last = round_number
 
-    def charge_send(self, bits: int) -> None:
+    def charge_send(self, messages: int, bits: int) -> None:
+        """Charge ``messages`` sends totalling ``bits`` bits, all made in
+        one round, to the innermost open span."""
         top = self._stack[-1]
-        top.messages += 1
+        top.messages += messages
         top.bits += bits
 
     def current_label(self) -> Optional[str]:
@@ -280,43 +391,9 @@ class NodeObs:
 
     def close_all(self) -> None:
         """Close any spans left open (normally just the root) at run end."""
-        while self._stack:
-            self._pop_unchecked()
-
-    # -- internals -----------------------------------------------------
-
-    def _push(self, name: str) -> None:
-        parent = self._stack[-1]
-        self._stack.append(
-            _OpenSpan(self.node, parent.path + (name,), self.recorder._next_index())
-        )
-
-    def _pop(self) -> None:
-        if len(self._stack) <= 1:
-            raise RuntimeError(
-                f"node {self.node}: span stack underflow (unbalanced exit)"
-            )
-        self._pop_unchecked()
-
-    def _pop_unchecked(self) -> None:
-        span = self._stack.pop()
-        if self._stack:
-            parent = self._stack[-1]
-            if span.extent_first is not None:
-                if parent.extent_first is None:
-                    parent.extent_first = span.extent_first
-                else:
-                    parent.extent_first = min(parent.extent_first, span.extent_first)
-            if span.extent_last is not None:
-                if parent.extent_last is None:
-                    parent.extent_last = span.extent_last
-                else:
-                    parent.extent_last = max(parent.extent_last, span.extent_last)
-        record = span.record()
-        self.recorder.spans.add(record)
-        monitors = self.recorder.monitors
-        if monitors is not None:
-            monitors.on_span_close(record)
+        stack = self._stack
+        while stack:
+            stack.pop()._close(stack)
 
 
 class ObsRecorder:
@@ -337,13 +414,9 @@ class ObsRecorder:
         #: snapshot and closed span record.
         self.monitors = monitors
         self.spans = SpanLog()
+        #: Global open order: the next span's ``index``.
         self._index = 0
         self._handles: Dict[int, NodeObs] = {}
-
-    def _next_index(self) -> int:
-        index = self._index
-        self._index += 1
-        return index
 
     def node_handle(self, node_id: int) -> NodeObs:
         handle = NodeObs(self, node_id)

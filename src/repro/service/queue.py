@@ -476,21 +476,28 @@ class JobQueue:
             round(time.time(), 3), worker=threading.current_thread().name
         )
 
-    def _finalize(self, job: Job, report: Optional[BatchReport]) -> None:
-        """Post-run bookkeeping: metrics, flight record, structured log."""
-        assert job.finished_at is not None
+    def _finalize(
+        self,
+        job: Job,
+        status: str,
+        finished_at: float,
+        report: Optional[BatchReport],
+    ) -> None:
+        """Post-run bookkeeping: metrics, flight record, structured log.
+
+        Runs before the job publishes its terminal ``status``, so a client
+        that sees a finished job also sees its ``finalized`` event.
+        """
         elapsed = (
-            job.finished_at - job.started_at
-            if job.started_at is not None
-            else 0.0
+            finished_at - job.started_at if job.started_at is not None else 0.0
         )
-        self.registry.counter("service.jobs").inc(status=job.status)
+        self.registry.counter("service.jobs").inc(status=status)
         if job.started_at is not None:
             self.registry.histogram("service.job_seconds").observe(
-                elapsed, status=job.status
+                elapsed, status=status
             )
         final_fields: Dict[str, Any] = {
-            "status": job.status,
+            "status": status,
             "elapsed_s": round(elapsed, 4),
         }
         if report is not None:
@@ -530,9 +537,9 @@ class JobQueue:
         logger.info(
             "job %s %s in %.2fs",
             job.job_id[:12],
-            job.status,
+            status,
             elapsed,
-            extra={"job": job.job_id, "status": job.status, **final_fields},
+            extra={"job": job.job_id, **final_fields},
         )
 
     def _drain(self) -> None:
@@ -563,12 +570,16 @@ class JobQueue:
                     )
                 except Exception as exc:  # infrastructure error, not a cell
                     job.error = f"{type(exc).__name__}: {exc}"
-                    job.status = JOB_FAILED
+                    status = JOB_FAILED
                     report = None
                 else:
                     job.report = report
-                    job.status = JOB_DONE
-                job.finished_at = time.time()
-                self._finalize(job, report)
+                    status = JOB_DONE
+                finished_at = time.time()
+                self._finalize(job, status, finished_at, report)
+            # Pollers read ``status`` without a lock: publish it only once
+            # the flight log is complete and ``finished_at`` is set.
+            job.finished_at = finished_at
+            job.status = status
             self._heartbeat()
             job.done_event.set()

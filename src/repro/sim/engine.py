@@ -381,7 +381,10 @@ class SleepingSimulator:
         """
         trace = self.trace
         knowledge = self.knowledge
-        observed = trace is not None or knowledge is not None or self.obs is not None
+        spans_on = self.obs is not None
+        # Observers fed once per message; spans are charged once per sender.
+        message_observers = trace is not None or knowledge is not None
+        observed = message_observers or spans_on
         channel = self.channel
         deliver = None if channel.is_perfect else channel.deliver
         crash_round = channel.crash_round
@@ -520,6 +523,11 @@ class SleepingSimulator:
                     if bits > congest_budget:
                         congest_violations += 1
                         if congest_strict:
+                            if spans_on:
+                                # The ports before this one were sent.
+                                runtime.context.obs.charge_send(
+                                    list(pending).index(port), sent_bits - bits
+                                )
                             raise CongestViolation(
                                 node_id, port, bits, congest_budget
                             )
@@ -577,12 +585,7 @@ class SleepingSimulator:
                     elif kind == "lose":
                         messages_lost += 1
                         receiver.messages_lost_as_receiver += 1
-                    if observed:
-                        # The sender's generator is still suspended at the
-                        # yield that scheduled this send, so its innermost
-                        # open span is the one that produced the message.
-                        if runtime.context.obs is not None:
-                            runtime.context.obs.charge_send(bits)
+                    if message_observers:
                         if knowledge is not None and kind == "deliver":
                             received_masks.setdefault(neighbour_id, []).append(
                                 runtime.pending_knowledge
@@ -613,6 +616,11 @@ class SleepingSimulator:
                 sender_metrics.messages_sent += len(pending)
                 sender_metrics.bits_sent += sent_bits
                 total_bits += sent_bits
+                if spans_on:
+                    # The sender's generator is still suspended at the
+                    # yield that scheduled these sends, so its innermost
+                    # open span is the one that produced them.
+                    runtime.context.obs.charge_send(len(pending), sent_bits)
 
             # Phase B: local computation.  Resume every awake node with its
             # inbox; it either terminates or schedules its next awake round.

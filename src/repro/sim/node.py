@@ -154,10 +154,11 @@ class NodeContext:
 
         While the generator is suspended inside the span, the engine
         charges this node's awake rounds, messages, and bits to it (to the
-        innermost span when nested).  Returns a shared no-op context
-        manager when observability is disabled.  An unobserved protocol
-        still pays for this call, its ``None`` check, and the ``with``
-        statement's ``__enter__`` and ``__exit__`` calls on the no-op.
+        innermost span when nested).  Each call returns a new span, to be
+        entered once.  Returns a shared no-op context manager when
+        observability is disabled.  An unobserved protocol still pays for
+        this call, its ``None`` check, and the ``with`` statement's
+        ``__enter__`` and ``__exit__`` calls on the no-op.
         """
         obs = self.obs
         if obs is None:

@@ -239,7 +239,7 @@ class DuplicateChannel(_SeededChannel):
         self.lag = int(lag)
 
     def deliver(self, round_number, sender, port, payload, bits, receiver_awake):
-        base = _sleeping_policy(receiver_awake)
+        base = DELIVERED if receiver_awake else LOST
         if self._rng.random() < self.p:
             return Outcome(base.kind, duplicate_round=round_number + self.lag)
         return base

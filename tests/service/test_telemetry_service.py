@@ -6,6 +6,7 @@ from __future__ import annotations
 import json
 import logging
 import threading
+import time
 import urllib.request
 
 import pytest
@@ -19,7 +20,7 @@ from repro.orchestrator import (
 )
 from repro.service import JobQueue, ServiceClient, ServiceError, build_server
 from repro.service.server import normalize_endpoint
-from repro.telemetry import parse_prometheus, validate_promtext
+from repro.telemetry import FlightRecorder, parse_prometheus, validate_promtext
 
 RING_GRID = {
     "algorithms": ["randomized"],
@@ -178,6 +179,34 @@ class TestFlightRecorder:
         assert seqs == sorted(seqs)
         offsets = [event["offset_ms"] for event in payload["events"]]
         assert offsets == sorted(offsets)
+
+    def test_done_is_published_after_the_finalized_event(
+        self, client, monkeypatch
+    ):
+        """A poll that reads ``done`` finds the whole flight log.
+
+        Writing ``finalized`` is slowed down, so a job that published
+        ``done`` before its last event would be caught in between.
+        """
+        record = FlightRecorder.record
+
+        def slow_finalized(self, event, force=False, **fields):
+            if event == "finalized":
+                time.sleep(0.2)
+            return record(self, event, force=force, **fields)
+
+        monkeypatch.setattr(FlightRecorder, "record", slow_finalized)
+        job = client.submit(RING_GRID)["job"]
+        deadline = time.monotonic() + 120
+        snapshot = client.poll(job)
+        while snapshot["status"] != "done":
+            assert snapshot["status"] in ("queued", "running")
+            assert time.monotonic() < deadline, "job never finished"
+            time.sleep(0.005)
+            snapshot = client.poll(job)
+        kinds = [event["event"] for event in client.events(job)["events"]]
+        assert "finalized" in kinds
+        assert snapshot["finished_at"] is not None
 
     def test_finalized_event_reports_outcome(self, client):
         submission = client.submit(RING_GRID)
