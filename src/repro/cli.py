@@ -82,7 +82,7 @@ from typing import Any, Optional, Sequence
 from repro.baselines import run_sleeping_spanning_tree, run_traditional_ghs
 from repro.core import run_deterministic_mst, run_randomized_mst
 from repro.orchestrator import GRAPH_FAMILIES
-from repro.sim.array_engine import require
+from repro.sim.capabilities import require
 from repro.sim.errors import UnsupportedFeatureError
 
 

@@ -1,6 +1,5 @@
 """Core algorithms: LDT toolbox, Randomized-MST, Deterministic-MST."""
 
-from .array_ops import run_randomized_mst_array
 from .ldt import LDTState, check_fldt, fragment_tree_edges
 from .logstar import cv_iterations, cv_step, logstar_coloring, logstar_total_blocks
 from .merging import MERGE_BLOCKS, merging_fragments
@@ -69,7 +68,6 @@ __all__ = [
     "randomized_phase_count",
     "run_deterministic_mst",
     "run_randomized_mst",
-    "run_randomized_mst_array",
     "side_offset",
     "transmit_adjacent",
     "up_receive_offset",

@@ -46,23 +46,20 @@ from __future__ import annotations
 from random import Random
 from typing import Any, Dict, List, Optional, Tuple
 
+import numpy as np
+
 from repro.sim.array_engine import (
     ArrayGraph,
     BlockAccountant,
     NONE_BITS,
     TUPLE_OVERHEAD,
     int_field_bits,
-    validate_array_sim_kwargs,
 )
+from repro.sim.capabilities import validate_array_sim_kwargs
 from repro.sim.engine import SimulationResult
 
 from .mst_randomized import HEADS, TAILS, MSTNodeOutput, randomized_phase_count
 from .schedule import block_span
-
-try:  # pragma: no cover - exercised implicitly by every array-engine test
-    import numpy as np
-except ImportError:  # pragma: no cover - the CI image always has numpy
-    np = None
 
 #: Sentinel for :data:`repro.core.toolbox.NOTHING` inside int64 arrays.
 #: Minima ignore it naturally (it is the identity of ``min``), matching
@@ -225,7 +222,7 @@ def run_randomized_mst_array(
     channel and no observers — same node outputs, same metrics, same
     rounds.  Unsupported simulator features raise
     :class:`repro.sim.errors.UnsupportedFeatureError` (see
-    :func:`repro.sim.array_engine.validate_array_sim_kwargs`).
+    :func:`repro.sim.capabilities.validate_array_sim_kwargs`).
     """
     supported = validate_array_sim_kwargs(sim_kwargs)
     if termination not in ("adaptive", "fixed"):

@@ -31,7 +31,7 @@ from repro.graphs import (
     require_sleeping_model_inputs,
 )
 from repro.sim import Metrics, SimulationResult, SleepingSimulator
-from repro.sim.array_engine import require, resolve_engine
+from repro.sim.capabilities import require
 
 from .mst_randomized import MSTNodeOutput, randomized_mst_protocol
 
@@ -199,7 +199,9 @@ def run_randomized_mst(
         ``observe=True`` for span-based awake accounting,
         ``strict_congest=False``).
     """
-    if resolve_engine(engine) == "array":
+    if require(engine) == "array":
+        # Only array runs import the numpy kernels; require() has loaded
+        # numpy or raised.
         from .array_ops import run_randomized_mst_array
 
         require_sleeping_model_inputs(graph)

@@ -20,7 +20,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.sim.array_engine import resolve_engine
+from repro.sim.capabilities import resolve_engine
 
 from .registry import (
     algorithm_runner,

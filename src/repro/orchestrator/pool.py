@@ -11,6 +11,13 @@ times and then becomes a structured ``failed`` record — it never aborts
 the batch.  Per-job timeouts use ``SIGALRM`` (each worker process runs
 jobs on its own main thread); on platforms without ``SIGALRM`` the
 timeout degrades to unenforced rather than erroring.
+
+``concurrent.futures`` (and with it ``multiprocessing``) is imported
+only when a call starts a pool, so serial runs (``workers=1``, the
+service's default ``job_workers=1``) never load it.  A pool that will
+run ``engine="array"`` cells imports the array engine before it forks
+(:func:`_load_array_engine`), so its workers inherit numpy instead of
+each importing it.
 """
 
 from __future__ import annotations
@@ -19,13 +26,14 @@ import os
 import signal
 import threading
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.obs import MetricsRegistry, NULL_REGISTRY
+from repro.sim.capabilities import require
+from repro.sim.errors import UnsupportedFeatureError
 from repro.telemetry.logs import current_trace_id, set_trace_id
 
 from .cache import ResultCache
@@ -40,7 +48,13 @@ class JobTimeout(Exception):
 
 @contextmanager
 def _job_timeout(seconds: Optional[float]):
-    """Enforce a wall-clock budget via ``SIGALRM`` where available."""
+    """Enforce a wall-clock budget via ``SIGALRM`` where available.
+
+    The alarm raises :class:`JobTimeout` wherever the job happens to be.
+    When that is a ``gc.callbacks`` entry or a ``__del__`` method, CPython
+    prints the exception and drops it, so an expiry is also remembered
+    and raised once the job returns.
+    """
     usable = (
         seconds is not None
         and seconds > 0
@@ -50,17 +64,25 @@ def _job_timeout(seconds: Optional[float]):
     if not usable:
         yield
         return
+    message = f"job exceeded {seconds}s budget"
+    expired = False
 
     def _on_alarm(signum, frame):
-        raise JobTimeout(f"job exceeded {seconds}s budget")
+        nonlocal expired
+        expired = True
+        raise JobTimeout(message)
 
     previous = signal.signal(signal.SIGALRM, _on_alarm)
-    signal.setitimer(signal.ITIMER_REAL, float(seconds))
     try:
-        yield
+        signal.setitimer(signal.ITIMER_REAL, float(seconds))
+        try:
+            yield
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0.0)
     finally:
-        signal.setitimer(signal.ITIMER_REAL, 0.0)
         signal.signal(signal.SIGALRM, previous)
+    if expired:
+        raise JobTimeout(message)
 
 
 def execute_with_policy(
@@ -109,6 +131,24 @@ def _pool_worker(
     spec_dict, timeout, retries = payload
     spec = JobSpec.from_dict(spec_dict)
     return execute_with_policy(spec, timeout=timeout, retries=retries).to_dict()
+
+
+def _load_array_engine(specs: Sequence[JobSpec]) -> None:
+    """Import numpy and the array kernels if any of ``specs`` needs them.
+
+    Called before a pool starts.  Under the ``fork`` start method (the
+    Linux default before Python 3.14) workers inherit the parent's
+    modules, so the import is paid once here rather than once per worker
+    on its first array cell.  Without numpy this does nothing, and each
+    array cell fails in its worker with the usual error.
+    """
+    if not any(dict(spec.options).get("engine") == "array" for spec in specs):
+        return
+    try:
+        require("array")
+    except UnsupportedFeatureError:
+        return
+    import repro.core.array_ops  # noqa: F401
 
 
 def _worker_init(trace_id: Optional[str]) -> None:
@@ -319,6 +359,9 @@ def run_jobs(
             _emit("cell_dispatched", {"key": spec.key, "label": spec.label()})
             _absorb(index, spec, execute_with_policy(spec, timeout, retries))
     elif pending:
+        from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+
+        _load_array_engine([spec for _, spec in pending])
         with ProcessPoolExecutor(
             max_workers=workers,
             initializer=_worker_init,

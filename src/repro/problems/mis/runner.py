@@ -16,7 +16,7 @@ from repro.core.runner import RunResult
 from repro.graphs import WeightedGraph, require_sleeping_model_inputs
 from repro.invariants import build_monitor_set
 from repro.sim import Metrics, SimulationResult, SleepingSimulator
-from repro.sim.array_engine import require
+from repro.sim.capabilities import require
 
 from .protocol import MISNodeOutput, sleeping_mis_protocol
 from .validation import check_local_mis_outputs, is_maximal_independent_set

@@ -16,7 +16,7 @@ from repro.baselines import run_pipelined_ghs, run_traditional_ghs
 from repro.core import run_deterministic_mst, run_randomized_mst
 from repro.graphs import WeightedGraph, mst_weight_set
 from repro.invariants.monitors import PROBLEM_MONITORS
-from repro.sim.array_engine import require
+from repro.sim.capabilities import require
 
 from .base import AlgorithmRunner, ProblemBundle, register_problem
 

@@ -10,16 +10,20 @@ Public surface:
 * :class:`~repro.sim.tracing.EventTrace`, :class:`~repro.sim.tracing.KnowledgeTracker`
   — optional observers.
 * :mod:`repro.sim.congest` — CONGEST message-size policy.
+* :mod:`repro.sim.capabilities` — the engine selector
+  :func:`~repro.sim.capabilities.resolve_engine`, the array engine's
+  capability tables and their one check,
+  :func:`~repro.sim.capabilities.require`; numpy-free.
 * :mod:`repro.sim.array_engine` — substrate of the vectorized numpy
-  backend (``engine="array"``): CSR graph view, block-level metric
-  accounting, and the engine selector :func:`~repro.sim.array_engine.
-  resolve_engine`.
+  backend (``engine="array"``): CSR graph view and block-level metric
+  accounting.  Not imported here, so ``import repro.sim`` never loads
+  numpy.
 * :mod:`repro.sim.transport` — pluggable channel models and seeded fault
   injection (:class:`~repro.sim.transport.PerfectChannel`,
   :class:`~repro.sim.transport.DropChannel`, ...).
 """
 
-from .array_engine import ENGINES, resolve_engine
+from .capabilities import ENGINES, resolve_engine
 from .congest import CongestPolicy, congest_budget_bits, payload_bits
 from .engine import SimulationResult, SleepingSimulator, simulate
 from .errors import (

@@ -20,147 +20,37 @@ accountant block by block; this module knows about blocks, rounds, bits,
 and budgets, but not how an MST is computed.
 
 The backend is deliberately *narrow*: it runs Randomized-MST on the
-perfect channel with no observers attached, and :func:`require` raises
-:class:`~repro.sim.errors.UnsupportedFeatureError` for anything else —
-the tables next to :data:`ENGINES` list what it supports.  Within that
-matrix it is held **byte-identical** to the coroutine engine: same per-node
-:class:`~repro.sim.metrics.NodeMetrics`, same summary, same
-``RunRecord`` fingerprints (``tests/sim/test_array_engine.py`` and the
-hypothesis suite in ``tests/core/test_array_equivalence.py`` are the
-oracle).
+perfect channel with no observers attached.  What it supports is stated
+in the tables of :mod:`repro.sim.capabilities` (``ENGINES``,
+``ARRAY_ALGORITHMS``, ...), whose :func:`~repro.sim.capabilities.require`
+raises :class:`~repro.sim.errors.UnsupportedFeatureError` for anything
+else.  Within that matrix the backend is held **byte-identical** to the
+coroutine engine: same per-node :class:`~repro.sim.metrics.NodeMetrics`,
+same summary, same ``RunRecord`` fingerprints
+(``tests/sim/test_array_engine.py`` and the hypothesis suite in
+``tests/core/test_array_equivalence.py`` are the oracle).
 
-numpy is an optional dependency of this module alone: importing it does
-not require numpy; *using* it does (:func:`require`).
+This module and :mod:`repro.core.array_ops` import numpy at their top;
+nothing else in ``repro`` imports them until an ``engine="array"`` run
+has passed ``require("array")``, so a process that never runs the array
+engine never loads numpy.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Any, Dict, List, Optional
+from typing import Any, List, Optional
+
+import numpy as np
 
 from .congest import DEFAULT_CONGEST_FACTOR, congest_budget_bits
-from .errors import (
-    CongestViolation,
-    SimulationLimitExceeded,
-    UnsupportedFeatureError,
-)
+from .errors import CongestViolation, SimulationLimitExceeded
 from .metrics import Metrics, NodeMetrics
-
-try:  # pragma: no cover - exercised implicitly by every array-engine test
-    import numpy as np
-except ImportError:  # pragma: no cover - the CI image always has numpy
-    np = None
-
-#: Simulation backends selectable through ``run_*(..., engine=...)``.
-ENGINES = ("coroutine", "array")
-
-# What the array engine can run.  The coroutine engine runs every
-# configuration; these tables are the one statement of the array engine's
-# narrower matrix.  :func:`require` raises from them, and the feature
-# matrix in docs/performance.md is tested against them.
-
-#: Algorithms the array engine vectorizes.
-ARRAY_ALGORITHMS = ("Randomized-MST",)
-
-#: ``SleepingSimulator`` keyword arguments the array engine rejects when
-#: set, with the feature name its error message uses.  Each attaches an
-#: observer that the vectorized execution does not feed.
-ARRAY_REJECTED_KWARGS = {
-    "trace": "event tracing",
-    "max_trace_events": "event tracing",
-    "observe": "observability spans",
-    "obs_registry": "observability spans",
-    "monitors": "invariant monitors",
-    "track_knowledge": "knowledge tracking",
-}
-
-#: Feature name for a ``channel=`` that is not perfect: the array engine
-#: accepts only channels with ``is_perfect`` set.
-ARRAY_REJECTED_CHANNELS = "fault specs"
-
-#: ``SleepingSimulator`` keyword arguments the array engine honours, with
-#: their defaults.  Any keyword in neither table is rejected.
-ARRAY_SIM_OPTIONS = {
-    "congest_universe": None,
-    "strict_congest": True,
-    "congest_factor": None,
-    "max_rounds": None,
-    "max_awake_events": 50_000_000,
-}
 
 #: Scalar bit cost of ``None``/``bool`` payload fields (1 + tag overhead).
 NONE_BITS = 3
 
 #: Tuple framing overhead, matching :data:`repro.sim.congest.FIELD_OVERHEAD_BITS`.
 TUPLE_OVERHEAD = 2
-
-
-def resolve_engine(engine: Optional[str]) -> str:
-    """Normalise an ``engine=`` knob value; ``None`` means the default."""
-    if engine is None:
-        return "coroutine"
-    if engine not in ENGINES:
-        raise ValueError(
-            f"unknown engine {engine!r}; expected one of {ENGINES}"
-        )
-    return engine
-
-
-def require(
-    engine: Optional[str],
-    algorithm: Optional[str] = None,
-    sim_kwargs: Optional[Dict[str, Any]] = None,
-) -> str:
-    """Check that ``engine`` can run ``algorithm`` with ``sim_kwargs``.
-
-    Returns the resolved engine name.  The coroutine engine runs
-    everything.  For the array engine this raises
-    :class:`UnsupportedFeatureError` naming the first feature outside the
-    tables above, checked in this order: numpy itself, the algorithm, the
-    channel, the observer keywords, then any unknown keyword.
-    """
-    engine = resolve_engine(engine)
-    if engine != "array":
-        return engine
-    if np is None:  # pragma: no cover - the CI image always has numpy
-        raise UnsupportedFeatureError(
-            "running without numpy", "the array engine is vectorized"
-        )
-    if algorithm is not None and algorithm not in ARRAY_ALGORITHMS:
-        raise UnsupportedFeatureError(
-            algorithm, f"only {', '.join(ARRAY_ALGORITHMS)} is vectorized"
-        )
-    kwargs = sim_kwargs or {}
-    channel = kwargs.get("channel")
-    if channel is not None and not getattr(channel, "is_perfect", False):
-        raise UnsupportedFeatureError(
-            ARRAY_REJECTED_CHANNELS,
-            f"{type(channel).__name__} is a fault-injecting channel",
-        )
-    for key, feature in ARRAY_REJECTED_KWARGS.items():
-        if kwargs.get(key):
-            raise UnsupportedFeatureError(feature)
-    unknown = sorted(
-        set(kwargs) - {"channel", *ARRAY_REJECTED_KWARGS, *ARRAY_SIM_OPTIONS}
-    )
-    if unknown:
-        raise UnsupportedFeatureError(f"simulator options ({', '.join(unknown)})")
-    return engine
-
-
-def validate_array_sim_kwargs(sim_kwargs: Dict[str, Any]) -> Dict[str, Any]:
-    """The :data:`ARRAY_SIM_OPTIONS` subset of ``sim_kwargs``, defaults applied.
-
-    Raises :class:`UnsupportedFeatureError` (through :func:`require`) for
-    observers, monitors, knowledge tracking, any non-perfect channel, or an
-    unknown keyword: the features that would make the vectorized execution
-    silently diverge from the coroutine engine.
-    """
-    require("array", sim_kwargs=sim_kwargs)
-    return {
-        key: sim_kwargs.get(key, default)
-        for key, default in ARRAY_SIM_OPTIONS.items()
-    }
 
 
 class ArrayGraph:
@@ -175,7 +65,6 @@ class ArrayGraph:
     """
 
     def __init__(self, graph: Any) -> None:
-        require("array")
         ids = sorted(graph.node_ids)
         if not ids:
             raise ValueError("graph has no nodes")
@@ -265,7 +154,6 @@ class BlockAccountant:
         max_rounds: Optional[int] = None,
         max_awake_events: int = 50_000_000,
     ) -> None:
-        require("array")
         self.graph = graph
         n = graph.n
         self.awake = np.zeros(n, dtype=np.int64)

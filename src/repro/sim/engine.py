@@ -296,6 +296,12 @@ class SleepingSimulator:
         change which branches of it fire.  A simulator runs once: its
         trace, knowledge tracker and observability recorder hold that
         run's history, so a second call raises :class:`RuntimeError`.
+
+        A run that raises (a crashed node, a strict CONGEST violation, a
+        limit) closes every unfinished protocol generator, in ascending
+        node-ID order, before the error propagates: their open
+        ``ctx.span`` blocks close then, not whenever garbage collection
+        gets to them.
         """
         if self._ran:
             raise RuntimeError(
@@ -316,26 +322,32 @@ class SleepingSimulator:
         # Every NodeMetrics exists before the link tables alias them,
         # created in ascending node-ID order as ``per_node`` lists them.
         node_metrics = {node_id: metrics.node(node_id) for node_id in self._node_ids}
-        for node_id in self._node_ids:
-            context = self._make_context(node_id)
-            protocol = self.protocol_factory(context)
-            runtime = _NodeRuntime(context=context, protocol=protocol)
-            runtime.node_metrics = node_metrics[node_id]
-            runtime.ports_map = {
-                port: (neighbour_id, neighbour_port, node_metrics[neighbour_id])
-                for port, (neighbour_id, neighbour_port, _) in self._adjacency[
-                    node_id
-                ].items()
-            }
-            runtimes[node_id] = runtime
-            finished, value = prime_protocol(protocol)
-            if finished:
-                self._finish_node(node_id, runtime, value, 0, results, metrics)
-                continue
-            self._accept_action(node_id, runtime, value, current_round=0)
-            due.setdefault(value.round, []).append(node_id)
+        try:
+            for node_id in self._node_ids:
+                context = self._make_context(node_id)
+                protocol = self.protocol_factory(context)
+                runtime = _NodeRuntime(context=context, protocol=protocol)
+                runtime.node_metrics = node_metrics[node_id]
+                runtime.ports_map = {
+                    port: (neighbour_id, neighbour_port, node_metrics[neighbour_id])
+                    for port, (neighbour_id, neighbour_port, _) in self._adjacency[
+                        node_id
+                    ].items()
+                }
+                runtimes[node_id] = runtime
+                finished, value = prime_protocol(protocol)
+                if finished:
+                    self._finish_node(node_id, runtime, value, 0, results, metrics)
+                    continue
+                self._accept_action(node_id, runtime, value, current_round=0)
+                due.setdefault(value.round, []).append(node_id)
 
-        self._run_rounds(metrics, results, runtimes, due)
+            self._run_rounds(metrics, results, runtimes, due)
+        except BaseException:
+            # ``runtimes`` is in ascending node-ID order.
+            for runtime in runtimes.values():
+                _close_quietly(runtime.protocol)
+            raise
 
         if self.obs is not None:
             self.obs.finalize(metrics)
@@ -719,10 +731,7 @@ class SleepingSimulator:
         metrics.crashed_nodes[node_id] = current_round
         if self.trace is not None:
             self.trace.record(current_round, "crash", node_id)
-        try:
-            runtime.protocol.close()
-        except Exception:  # noqa: BLE001 - a dying generator can't veto the crash
-            pass
+        _close_quietly(runtime.protocol)
 
     def _accept_action(
         self,
@@ -768,6 +777,14 @@ class SleepingSimulator:
         metrics.node(node_id).terminated_round = current_round
         if self.trace is not None:
             self.trace.record(current_round, "terminate", node_id, detail=value)
+
+
+def _close_quietly(protocol: Any) -> None:
+    """Close a protocol generator; a dying generator cannot veto it."""
+    try:
+        protocol.close()
+    except Exception:  # noqa: BLE001 - its own exit code failed; nothing to add
+        pass
 
 
 def simulate(

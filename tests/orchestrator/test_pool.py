@@ -2,13 +2,20 @@
 
 from __future__ import annotations
 
+import gc
+import signal
+import sys
+import time
+
 from repro.orchestrator import (
     STATUS_FAILED,
     STATUS_OK,
     JobSpec,
     ResultCache,
     RunStore,
+    execute_with_policy,
     expand_grid,
+    pool,
     run_jobs,
 )
 
@@ -110,6 +117,40 @@ class TestPolicy:
         (record,) = report.records
         assert record.status == STATUS_FAILED
         assert "JobTimeout" in record.error
+
+    def test_timeout_swallowed_by_a_gc_callback_still_fails(self, monkeypatch):
+        """CPython prints and drops an exception raised inside a
+        ``gc.callbacks`` entry; an alarm landing there must still fail
+        the cell, and the previous SIGALRM handler must come back."""
+
+        def spin(seconds):
+            deadline = time.perf_counter() + seconds
+            while time.perf_counter() < deadline:
+                pass
+
+        def slow_callback(phase, info):
+            if phase == "start":
+                spin(0.05)
+
+        def job(spec):
+            gc.collect()  # the 10 ms alarm fires inside slow_callback
+            spin(0.1)
+            return {}
+
+        monkeypatch.setattr(pool, "execute_job", job)
+        # Where the alarm's exception goes when CPython drops it.
+        monkeypatch.setattr(sys, "unraisablehook", lambda unraisable: None)
+        previous = signal.getsignal(signal.SIGALRM)
+        gc.callbacks.append(slow_callback)
+        try:
+            record = execute_with_policy(
+                JobSpec.create("randomized", "ring", 8, 0), timeout=0.01
+            )
+        finally:
+            gc.callbacks.remove(slow_callback)
+        assert record.status == STATUS_FAILED
+        assert "JobTimeout" in record.error
+        assert signal.getsignal(signal.SIGALRM) is previous
 
     def test_report_summary_counts(self, tmp_path):
         specs = expand_grid(["randomized"], ["ring"], [8], [0, 1])

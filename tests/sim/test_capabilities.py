@@ -9,7 +9,7 @@ import pytest
 
 from repro.graphs import ring_graph, verify_or_diagnose
 from repro.sim import DropChannel, PerfectChannel
-from repro.sim.array_engine import (
+from repro.sim.capabilities import (
     ARRAY_ALGORITHMS,
     ARRAY_REJECTED_KWARGS,
     ARRAY_SIM_OPTIONS,
