@@ -8,7 +8,7 @@ correctness checks reduce to set equality of edge-weight sets.
 from __future__ import annotations
 
 import heapq
-from operator import attrgetter
+from operator import itemgetter
 from typing import Dict, Iterable, List, Set, Tuple
 
 from .weighted_graph import Edge, WeightedGraph
@@ -46,16 +46,28 @@ class UnionFind:
         return self.find(a) == self.find(b)
 
 
-def kruskal_mst(graph: WeightedGraph) -> List[Edge]:
-    """Kruskal's algorithm; edges returned in increasing weight order."""
+def _kruskal(graph: WeightedGraph) -> List[Tuple[int, int, int]]:
+    """Kruskal's algorithm over the graph's edge columns: the MST's
+    ``(weight, u, v)`` triples in increasing weight order."""
+    columns = graph.edge_columns
     union_find = UnionFind(graph.node_ids)
-    tree: List[Edge] = []
-    for edge in sorted(graph.edges(), key=attrgetter("weight")):
-        if union_find.union(edge.u, edge.v):
-            tree.append(edge)
+    # Weights are distinct: sorting by weight alone orders the triples,
+    # and comparing one int is cheaper than comparing tuples.
+    tree = [
+        edge
+        for edge in sorted(
+            zip(columns.weight, columns.u, columns.v), key=itemgetter(0)
+        )
+        if union_find.union(edge[1], edge[2])
+    ]
     if union_find.components != 1:
         raise ValueError("graph is disconnected; no spanning tree exists")
     return tree
+
+
+def kruskal_mst(graph: WeightedGraph) -> List[Edge]:
+    """Kruskal's algorithm; edges returned in increasing weight order."""
+    return [Edge(*edge) for edge in _kruskal(graph)]
 
 
 def prim_mst(graph: WeightedGraph) -> List[Edge]:
@@ -113,7 +125,7 @@ def boruvka_mst(graph: WeightedGraph) -> List[Edge]:
 
 def mst_weight_set(graph: WeightedGraph) -> Set[int]:
     """The unique MST as a set of edge weights (weights identify edges)."""
-    return {edge.weight for edge in kruskal_mst(graph)}
+    return {weight for weight, _, _ in _kruskal(graph)}
 
 
 def is_spanning_tree(graph: WeightedGraph, weights: Iterable[int]) -> bool:

@@ -48,12 +48,13 @@ def require_sleeping_model_inputs(graph: WeightedGraph) -> None:
     # Distinct weights and positive IDs are enforced at construction time by
     # WeightedGraph; re-checking here keeps the contract explicit for graphs
     # constructed by external code paths.
-    weights = [edge.weight for edge in graph.edges()]
+    weights = graph.edge_columns.weight
     if len(weights) != len(set(weights)):
         raise ValueError("edge weights must be distinct")
-    if any(node_id < 1 for node_id in graph.node_ids):
+    node_ids = graph.node_ids
+    if any(node_id < 1 for node_id in node_ids):
         raise ValueError("node IDs must be >= 1")
-    if graph.max_id < max(graph.node_ids):
+    if graph.max_id < max(node_ids):
         raise ValueError("max_id must bound every node ID")
 
 
@@ -78,14 +79,22 @@ def check_local_mst_outputs(
             f"nodes missing MST output: {missing[:10]}", missing=missing
         )
 
-    incident: Dict[int, Set[int]] = {
-        node: {weight for (_, _, weight) in graph.ports_of(node).values()}
-        for node in graph.node_ids
-    }
+    # A weight is incident to a node when the edge it names has the node
+    # as an endpoint; the column index finds that edge.
+    columns = graph.edge_columns
+    column_u, column_v, index = columns.u, columns.v, columns.index
     reported: Dict[int, Set[int]] = {}
     for node, weights in node_outputs.items():
+        if node not in graph:
+            raise KeyError(node)
         weight_set = set(weights)
-        foreign = weight_set - incident[node]
+        foreign = set()
+        for weight in weight_set:
+            position = index.get(weight)
+            if position is None or node not in (
+                column_u[position], column_v[position]
+            ):
+                foreign.add(weight)
         if foreign:
             raise AssertionError(
                 f"node {node} reported non-incident edge weights {sorted(foreign)[:10]}"
@@ -96,13 +105,14 @@ def check_local_mst_outputs(
     for node, weight_set in reported.items():
         union |= weight_set
     for weight in union:
-        edge = graph.edge_by_weight(weight)
-        u_has = weight in reported[edge.u]
-        v_has = weight in reported[edge.v]
+        position = index[weight]
+        u, v = column_u[position], column_v[position]
+        u_has = weight in reported[u]
+        v_has = weight in reported[v]
         if not (u_has and v_has):
             raise AssertionError(
                 f"endpoints disagree on edge weight {weight}: "
-                f"{edge.u} reported={u_has}, {edge.v} reported={v_has}"
+                f"{u} reported={u_has}, {v} reported={v_has}"
             )
     return union
 

@@ -9,12 +9,31 @@ numbered ports, one per incident edge, and initially knows only its own ID,
 assigns each endpoint of each edge a local port number and exposes the
 ``node_ids`` / ``ports_of`` interface consumed by
 :class:`repro.sim.SleepingSimulator`.
+
+A graph is stored as columns: three edge columns in insertion order
+(:class:`EdgeColumns`), the per-node port tables, and indexes by
+endpoint pair and by weight.  :class:`Edge` objects exist only for
+callers that ask for them (:meth:`WeightedGraph.edges`,
+:meth:`WeightedGraph.edge_by_weight`); the per-cell consumers (the
+array engine's CSR, input and output validation, the reference MST
+weight set) read the columns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
+from types import MappingProxyType
+from typing import (
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Set,
+    Tuple,
+)
 
 
 @dataclass(frozen=True, order=True)
@@ -46,6 +65,20 @@ class Edge:
         raise ValueError(f"node {node_id} is not an endpoint of {self}")
 
 
+class EdgeColumns(NamedTuple):
+    """A graph's edges as read-only columns, in insertion order.
+
+    Edge ``i`` joins ``u[i] < v[i]`` with weight ``weight[i]``;
+    ``index`` maps a weight to its position ``i`` (weights are distinct,
+    so a weight identifies an edge).
+    """
+
+    u: Tuple[int, ...]
+    v: Tuple[int, ...]
+    weight: Tuple[int, ...]
+    index: Mapping[int, int]
+
+
 class WeightedGraph:
     """An undirected weighted graph with per-node port numbering.
 
@@ -74,50 +107,66 @@ class WeightedGraph:
             raise ValueError("graph must have at least one node")
         if self._node_ids[0] < 1:
             raise ValueError("node IDs must be positive integers")
-        id_set = set(self._node_ids)
-
-        self._edges: List[Edge] = []
-        seen_pairs: Set[Tuple[int, int]] = set()
-        seen_weights: Set[int] = set()
-        for u, v, weight in edges:
-            edge = Edge.make(int(u), int(v), int(weight))
-            if edge.u not in id_set or edge.v not in id_set:
-                raise ValueError(f"edge {edge} references unknown node")
-            if edge.endpoints in seen_pairs:
-                raise ValueError(f"duplicate edge between {edge.u} and {edge.v}")
-            if edge.weight in seen_weights:
-                raise ValueError(
-                    f"duplicate edge weight {edge.weight}; the paper assumes "
-                    "distinct weights (unique MST)"
-                )
-            if edge.weight < 1:
-                raise ValueError("edge weights must be positive integers")
-            seen_pairs.add(edge.endpoints)
-            seen_weights.add(edge.weight)
-            self._edges.append(edge)
-
-        declared_max = max(self._node_ids)
-        if max_id is not None and max_id < declared_max:
-            raise ValueError(f"max_id={max_id} < largest node ID {declared_max}")
-        self._max_id = max_id if max_id is not None else declared_max
 
         # Port assignment: each node numbers its incident edges 0..deg-1 in
         # edge-insertion order (an arbitrary but deterministic choice; the
-        # algorithms never rely on port semantics).
-        self._ports: Dict[int, Dict[int, Tuple[int, int, int]]] = {
-            node_id: {} for node_id in self._node_ids
+        # algorithms never rely on port semantics), so a node's port table
+        # is a list indexed by port.  Edges are checked in the order
+        # self-loop, unknown node, duplicate pair, duplicate weight,
+        # non-positive weight; the first bad edge raises.
+        ports: Dict[int, List[Tuple[int, int, int]]] = {
+            node_id: [] for node_id in self._node_ids
         }
-        next_port: Dict[int, int] = {node_id: 0 for node_id in self._node_ids}
-        self._edge_ports: Dict[FrozenSet[int], Tuple[int, int]] = {}
-        self._by_weight: Dict[int, Edge] = {}
-        for edge in self._edges:
-            pu, pv = next_port[edge.u], next_port[edge.v]
-            next_port[edge.u] += 1
-            next_port[edge.v] += 1
-            self._ports[edge.u][pu] = (edge.v, pv, edge.weight)
-            self._ports[edge.v][pv] = (edge.u, pu, edge.weight)
-            self._edge_ports[frozenset(edge.endpoints)] = (pu, pv)
-            self._by_weight[edge.weight] = edge
+        pairs: Dict[Tuple[int, int], int] = {}
+        by_weight: Dict[int, int] = {}
+        column_u: List[int] = []
+        column_v: List[int] = []
+        column_weight: List[int] = []
+        for u, v, weight in edges:
+            u, v, weight = int(u), int(v), int(weight)
+            if u == v:
+                raise ValueError(f"self-loop at node {u} is not allowed")
+            if u > v:
+                u, v = v, u
+            u_ports = ports.get(u)
+            v_ports = ports.get(v)
+            if u_ports is None or v_ports is None:
+                raise ValueError(
+                    f"edge {Edge(weight, u, v)} references unknown node"
+                )
+            pair = (u, v)
+            if pair in pairs:
+                raise ValueError(f"duplicate edge between {u} and {v}")
+            if weight in by_weight:
+                raise ValueError(
+                    f"duplicate edge weight {weight}; the paper assumes "
+                    "distinct weights (unique MST)"
+                )
+            if weight < 1:
+                raise ValueError("edge weights must be positive integers")
+            pairs[pair] = by_weight[weight] = len(column_weight)
+            column_u.append(u)
+            column_v.append(v)
+            column_weight.append(weight)
+            pu = len(u_ports)
+            pv = len(v_ports)
+            u_ports.append((v, pv, weight))
+            v_ports.append((u, pu, weight))
+
+        declared_max = self._node_ids[-1]
+        if max_id is not None and max_id < declared_max:
+            raise ValueError(f"max_id={max_id} < largest node ID {declared_max}")
+        self._max_id = max_id if max_id is not None else declared_max
+        self._ports = ports
+        self._pairs = pairs
+        self._columns = EdgeColumns(
+            tuple(column_u),
+            tuple(column_v),
+            tuple(column_weight),
+            MappingProxyType(by_weight),
+        )
+        #: ``Edge`` objects, built on the first call that asks for them.
+        self._edges: Optional[List[Edge]] = None
 
     # ------------------------------------------------------------------
     # Simulator interface
@@ -129,7 +178,7 @@ class WeightedGraph:
 
     def ports_of(self, node_id: int) -> Dict[int, Tuple[int, int, int]]:
         """Return ``{port: (neighbour_id, neighbour_port, weight)}``."""
-        return dict(self._ports[node_id])
+        return dict(enumerate(self._ports[node_id]))
 
     # ------------------------------------------------------------------
     # Graph queries
@@ -141,7 +190,7 @@ class WeightedGraph:
 
     @property
     def m(self) -> int:
-        return len(self._edges)
+        return len(self._columns.weight)
 
     @property
     def max_id(self) -> int:
@@ -150,35 +199,49 @@ class WeightedGraph:
 
     @property
     def max_weight(self) -> int:
-        return max((edge.weight for edge in self._edges), default=1)
+        return max(self._columns.weight, default=1)
+
+    @property
+    def edge_columns(self) -> EdgeColumns:
+        """The edges as read-only columns (see :class:`EdgeColumns`)."""
+        return self._columns
+
+    def _edge_list(self) -> List[Edge]:
+        if self._edges is None:
+            columns = self._columns
+            self._edges = [
+                Edge(weight, u, v)
+                for u, v, weight in zip(columns.u, columns.v, columns.weight)
+            ]
+        return self._edges
 
     def edges(self) -> List[Edge]:
-        return list(self._edges)
+        return list(self._edge_list())
 
     def edge_weights(self) -> Set[int]:
-        return set(self._by_weight)
+        return set(self._columns.weight)
 
     def edge_by_weight(self, weight: int) -> Edge:
         """Weights are distinct, so a weight is a global edge identifier."""
-        return self._by_weight[weight]
+        return self._edge_list()[self._columns.index[weight]]
 
     def has_edge(self, u: int, v: int) -> bool:
-        return frozenset((u, v)) in self._edge_ports
+        return ((u, v) if u < v else (v, u)) in self._pairs
 
     def weight(self, u: int, v: int) -> int:
-        for neighbour, _, weight in self._ports[u].values():
+        for neighbour, _, weight in self._ports[u]:
             if neighbour == v:
                 return weight
         raise KeyError(f"no edge between {u} and {v}")
 
     def neighbors(self, node_id: int) -> List[int]:
-        return [entry[0] for entry in self._ports[node_id].values()]
+        return [entry[0] for entry in self._ports[node_id]]
 
     def degree(self, node_id: int) -> int:
         return len(self._ports[node_id])
 
     def total_weight(self) -> int:
-        return sum(edge.weight for edge in self._edges)
+        return sum(self._columns.weight)
 
     # ------------------------------------------------------------------
     # Structure
@@ -187,11 +250,11 @@ class WeightedGraph:
     def is_connected(self) -> bool:
         if self.n <= 1:
             return True
+        ports = self._ports
         seen = {self._node_ids[0]}
         stack = [self._node_ids[0]]
         while stack:
-            node = stack.pop()
-            for neighbour in self.neighbors(node):
+            for neighbour, _, _ in ports[stack.pop()]:
                 if neighbour not in seen:
                     seen.add(neighbour)
                     stack.append(neighbour)
@@ -224,12 +287,13 @@ class WeightedGraph:
     def subgraph_weights(self, weights: Iterable[int]) -> "WeightedGraph":
         """Return the subgraph induced by the edges with the given weights."""
         chosen = set(weights)
+        columns = self._columns
         return WeightedGraph(
             self._node_ids,
             [
-                (edge.u, edge.v, edge.weight)
-                for edge in self._edges
-                if edge.weight in chosen
+                edge
+                for edge in zip(columns.u, columns.v, columns.weight)
+                if edge[2] in chosen
             ],
             max_id=self._max_id,
         )
@@ -240,8 +304,9 @@ class WeightedGraph:
 
         graph = nx.Graph()
         graph.add_nodes_from(self._node_ids)
+        columns = self._columns
         graph.add_weighted_edges_from(
-            (edge.u, edge.v, edge.weight) for edge in self._edges
+            zip(columns.u, columns.v, columns.weight)
         )
         return graph
 

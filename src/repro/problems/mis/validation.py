@@ -27,8 +27,9 @@ class MISOutputError(MSTOutputError):
 
 def is_independent_set(graph: WeightedGraph, nodes: FrozenSet[int]) -> bool:
     """True iff no edge of ``graph`` has both endpoints in ``nodes``."""
+    columns = graph.edge_columns
     return not any(
-        edge.u in nodes and edge.v in nodes for edge in graph.edges()
+        u in nodes and v in nodes for u, v in zip(columns.u, columns.v)
     )
 
 
@@ -63,11 +64,12 @@ def check_local_mis_outputs(
     in_mis = frozenset(
         node for node, output in outputs.items() if output.in_mis
     )
-    for edge in graph.edges():
-        if edge.u in in_mis and edge.v in in_mis:
+    columns = graph.edge_columns
+    for u, v in zip(columns.u, columns.v):
+        if u in in_mis and v in in_mis:
             raise MISOutputError(
-                f"independence violated: adjacent nodes {edge.u} and "
-                f"{edge.v} both claim MIS membership"
+                f"independence violated: adjacent nodes {u} and "
+                f"{v} both claim MIS membership"
             )
     for node, output in outputs.items():
         if output.in_mis:

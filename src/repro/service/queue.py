@@ -566,7 +566,9 @@ class JobQueue:
                         progress=job.progress,
                         registry=job.registry,
                         trace_id=job.trace_id,
-                        on_event=job.record_event,
+                        on_event=lambda event, payload: job.record_event(
+                            event, **payload
+                        ),
                     )
                 except Exception as exc:  # infrastructure error, not a cell
                     job.error = f"{type(exc).__name__}: {exc}"

@@ -85,6 +85,28 @@ def fresh(code: str, block_numpy: bool = False):
     return json.loads(completed.stdout.splitlines()[-1])
 
 
+def importtime_heavy_lines(cli_args) -> list:
+    """Run ``python -X importtime -m repro.cli *cli_args`` in a fresh
+    interpreter; return the ``import time:`` lines naming numpy or
+    multiprocessing."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
+    completed = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "repro.cli", *cli_args],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert completed.returncode == 0, completed.stderr[-2000:]
+    return [
+        line
+        for line in completed.stderr.splitlines()
+        if line.startswith("import time:")
+        and ("numpy" in line or "multiprocessing" in line)
+    ]
+
+
 def digest_here(kwargs) -> str:
     """The fingerprint digest of a cell run in this process."""
     (spec,) = expand_grid(**kwargs)
@@ -133,6 +155,13 @@ print(json.dumps([codes, loaded()]))
 """
         )
         assert (codes, after) == ([0, 0], [])
+        # The same two commands through the `python -m repro.cli` entry
+        # point, as a user runs them: no `-X importtime` line may name
+        # numpy or multiprocessing.
+        args = ["--algorithm", "randomized", "--graph", "gnp", "--n", "32",
+                "--seed", "1"]
+        for command in (["run", *args], ["check", *args, "--faults", "dup:0.1"]):
+            assert importtime_heavy_lines(command) == [], command
 
     def test_serial_run_jobs_loads_neither(self):
         failed, after = fresh(

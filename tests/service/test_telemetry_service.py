@@ -236,6 +236,63 @@ class TestFlightRecorder:
         )
 
 
+#: Six fresh cells: enough to overrun a small flight-recorder cap.
+SIX_CELL_GRID = {
+    "algorithms": ["randomized"],
+    "families": ["ring"],
+    "sizes": [8],
+    "seeds": 6,
+}
+
+
+def run_queued(root, grid, **queue_kwargs):
+    """Run one grid through a started queue; return its events payload."""
+    queue = JobQueue(root, **queue_kwargs).start()
+    try:
+        job, _ = queue.submit(grid)
+        assert queue.wait(job.job_id, timeout_s=120)
+        return queue.events(job.job_id)
+    finally:
+        queue.shutdown()
+
+
+class TestFlightCellEvents:
+    def test_cell_events_carry_their_fields(self, tmp_path):
+        payload = run_queued(tmp_path / "service", SIX_CELL_GRID)
+        events = payload["events"]
+        dispatched = [e for e in events if e["event"] == "cell_dispatched"]
+        finished = [e for e in events if e["event"] == "cell_finished"]
+        assert len(dispatched) == len(finished) == 6
+        for event in dispatched:
+            assert set(event) >= {"key", "label"}
+        for event in finished:
+            assert set(event) >= {"key", "status", "source", "elapsed_s"}
+            assert (event["status"], event["source"]) == ("ok", "executed")
+            assert event["elapsed_s"] >= 0
+        assert {e["key"] for e in dispatched} == {e["key"] for e in finished}
+
+    def test_capped_job_drops_cell_events(self, tmp_path):
+        payload = run_queued(
+            tmp_path / "service", SIX_CELL_GRID, flight_max_events=3
+        )
+        kinds = [event["event"] for event in payload["events"]]
+        assert len(kinds) == 4
+        assert kinds[-1] == "finalized"
+        assert payload["dropped"] > 0
+
+    def test_finalized_reports_dropped_events(self, tmp_path):
+        payload = run_queued(
+            tmp_path / "service", SIX_CELL_GRID, flight_max_events=3
+        )
+        (final,) = [
+            event for event in payload["events"]
+            if event["event"] == "finalized"
+        ]
+        assert final["status"] == "done"
+        assert final["executed"] == 6
+        assert final["events_dropped"] == payload["dropped"] > 0
+
+
 class TestByteIdentity:
     def test_service_records_fingerprint_identical_to_plain_run(
         self, service, tmp_path
