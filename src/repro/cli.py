@@ -6,6 +6,10 @@ Subcommands
     Run one algorithm on a generated graph and print the metrics the paper
     is about (awake complexity, round complexity, their product,
     correctness).  ``--json`` emits one machine-readable object instead.
+    ``run``, ``check`` and ``trace`` share one set of cell flags: they
+    turn them into a :class:`~repro.orchestrator.JobSpec`, execute it
+    with :func:`~repro.orchestrator.run_cell` (the path every grid cell
+    takes), and render the cell.
 ``batch``
     Run an (algorithm × family × n × seed) grid through the orchestrator:
     worker-pool parallelism (``--workers``), a content-addressed result
@@ -43,9 +47,9 @@ Subcommands
 ``experiments``
     Run the non-grid paper experiments (:mod:`repro.analysis.experiments`)
     and print them as JSON; the committed ``EXPERIMENTS.json`` is this
-    output.  Table 1 is the campaign ``examples/campaigns/table1.toml``.
-``walkthrough``
-    Print the Figures 2-5 merging walk-through.
+    output.  Table 1 is the campaign ``examples/campaigns/table1.toml``;
+    ``--only fig2_5`` is the Figures 2-5 merging walk-through (printed
+    in full by ``examples/merging_walkthrough.py``).
 
 Examples::
 
@@ -55,8 +59,8 @@ Examples::
         --faults drop:0.02 --json
     python -m repro.cli trace --algorithm randomized --n 64 \
         --output trace.json
-    python -m repro.cli run --algorithm deterministic --coloring log-star \
-        --graph gnp --n 32 --id-range 512
+    python -m repro.cli run --algorithm logstar --graph gnp --n 32 \
+        --id-range 512
     python -m repro.cli batch --algorithms randomized deterministic \
         --families ring gnp --sizes 16 32 --seeds 3 --workers 4
     python -m repro.cli campaign run examples/campaigns/crossover.toml \
@@ -79,93 +83,81 @@ import math
 import sys
 from typing import Any, Optional, Sequence
 
-from repro.baselines import run_sleeping_spanning_tree, run_traditional_ghs
-from repro.core import run_deterministic_mst, run_randomized_mst
-from repro.orchestrator import GRAPH_FAMILIES
-from repro.sim.capabilities import require
+from repro.orchestrator import ALGORITHM_ALIASES, ALGORITHMS, GRAPH_FAMILIES
 from repro.sim.errors import UnsupportedFeatureError
 
+#: The ``--algorithm`` menu of ``run``, ``check`` and ``trace``: the
+#: aliases of the MST bundle's algorithms, plus ``mis`` (which implies
+#: ``--problem mis``).
+CELL_ALGORITHMS = tuple(
+    alias for alias, name in ALGORITHM_ALIASES.items() if name in ALGORITHMS
+) + ("mis",)
 
-def _run_algorithm(args: argparse.Namespace, **sim_kwargs):
-    """Shared graph-build + runner dispatch for ``run`` and ``trace``."""
-    graph = GRAPH_FAMILIES[args.graph](args.n, args.seed, args.id_range)
-    return graph, _dispatch_algorithm(args, graph, **sim_kwargs)
 
+def _cell_spec(args: argparse.Namespace):
+    """The ``JobSpec`` a ``run``, ``check`` or ``trace`` names.
 
-def _effective_problem(args: argparse.Namespace) -> str:
-    """Resolve the problem axis: ``--problem``, or ``--algorithm mis``.
-
-    ``--algorithm mis`` implies ``--problem mis`` so the short spelling
-    works; everything else defaults to the MST problem the CLI has always
-    dispatched.
+    Its options are what a grid payload would store.  ``--problem mis``
+    (implied by ``--algorithm mis``) ignores ``--algorithm`` and
+    ``--termination``.  Raises ``ValueError`` on a bad flag value.
     """
-    if getattr(args, "algorithm", None) == "mis":
-        return "mis"
-    return getattr(args, "problem", "mst") or "mst"
+    from repro.invariants import resolve_monitor_spec
+    from repro.orchestrator import JobSpec, resolve_channel_spec
+    from repro.problems import problem_bundle
+    from repro.sim.capabilities import resolve_engine
 
-
-def _dispatch_algorithm(args: argparse.Namespace, graph, **sim_kwargs):
-    engine = getattr(args, "engine", None)
-    if _effective_problem(args) == "mis":
-        from repro.problems import run_sleeping_mis
-
-        return run_sleeping_mis(graph, seed=args.seed, engine=engine, **sim_kwargs)
-    if args.algorithm == "randomized":
-        return run_randomized_mst(
-            graph,
-            seed=args.seed,
-            termination=getattr(args, "termination", "adaptive"),
-            engine=engine,
-            **sim_kwargs,
-        )
-    if args.algorithm == "deterministic":
-        return run_deterministic_mst(
-            graph,
-            coloring=getattr(args, "coloring", "fast-awake"),
-            engine=engine,
-            **sim_kwargs,
-        )
-    require(engine, args.algorithm)
-    if args.algorithm == "traditional":
-        return run_traditional_ghs(graph, seed=args.seed, **sim_kwargs)
-    return run_sleeping_spanning_tree(graph, seed=args.seed, **sim_kwargs)
-
-
-def _faults_sim_kwargs(args: argparse.Namespace, sim_kwargs: dict):
-    """Resolve ``--faults`` into sim kwargs; returns the normalized spec.
-
-    Raises ``ValueError`` on a bad spec.  The perfect channel resolves to
-    ``None`` and leaves ``sim_kwargs`` untouched.
-    """
-    from repro.orchestrator import channel_from_spec, resolve_channel_spec
-    from repro.orchestrator.jobs import FAULT_MAX_AWAKE_EVENTS
-
-    faults = resolve_channel_spec(getattr(args, "faults", None))
+    options = {}
+    faults = resolve_channel_spec(args.faults)
     if faults is not None:
-        sim_kwargs["channel"] = channel_from_spec(faults)
-        sim_kwargs.setdefault("max_awake_events", FAULT_MAX_AWAKE_EVENTS)
-    return faults
+        options["faults"] = faults
+    monitors = resolve_monitor_spec(getattr(args, "monitors", None))
+    if monitors is not None:
+        options["monitors"] = monitors
+    elif args.command == "check":
+        raise ValueError("check needs at least one monitor (got --monitors off)")
+    engine = resolve_engine(getattr(args, "engine", None))
+    if engine != "coroutine":
+        options["engine"] = engine
+    problem = "mis" if args.algorithm == "mis" else args.problem
+    if problem == "mst":
+        algorithm = args.algorithm
+        termination = getattr(args, "termination", "adaptive")
+        if termination != "adaptive":
+            options["termination"] = termination
+    else:
+        algorithm = problem_bundle(problem).default_algorithm
+    return JobSpec.create(
+        algorithm, args.graph, args.n, args.seed, id_range=args.id_range,
+        options=options, problem=problem,
+    )
 
 
-def _monitors_sim_kwargs(args: argparse.Namespace, sim_kwargs: dict):
-    """Resolve ``--monitors`` into sim kwargs; returns the MonitorSet.
+def _run_cell(args: argparse.Namespace, **kwargs: Any):
+    """Run the cell the flags name; ``None`` after a configuration error
+    (a bad flag value, or a ``ValueError`` or ``UnsupportedFeatureError``
+    raised before the first round), printed to stderr: exit code 2."""
+    from repro.orchestrator import run_cell
 
-    Raises ``ValueError`` on unknown monitor names.  ``None`` / ``off``
-    leaves ``sim_kwargs`` untouched (the run stays unmonitored).
-    """
-    spec = getattr(args, "monitors", None)
-    if spec is None:
+    try:
+        return run_cell(_cell_spec(args), **kwargs)
+    except (ValueError, UnsupportedFeatureError) as error:
+        print(str(error), file=sys.stderr)
         return None
-    from repro.invariants import build_monitor_set
 
-    monitor_set = build_monitor_set(spec, problem=_effective_problem(args))
-    if monitor_set is not None:
-        sim_kwargs["monitors"] = monitor_set
-    return monitor_set
+
+def _graph_payload(cell) -> dict:
+    graph = cell.graph
+    return {
+        "family": cell.spec.family,
+        "n": graph.n,
+        "m": graph.m,
+        "max_id": graph.max_id,
+        "seed": cell.spec.seed,
+    }
 
 
 def _diagnosis_extras(diagnosis, monitor_set) -> dict:
-    """Diagnosis refinements shared by the run/check fault reports."""
+    """Diagnosis refinements of a faulted ``run``'s report."""
     extras = {}
     if diagnosis.missing_nodes:
         extras["missing_nodes"] = list(diagnosis.missing_nodes)
@@ -177,67 +169,41 @@ def _diagnosis_extras(diagnosis, monitor_set) -> dict:
     return extras
 
 
-def _print_diagnosis_extras(extras: dict) -> None:
-    if "missing_nodes" in extras:
-        print(f"missing outputs  : {extras['missing_nodes']}")
-    if "crashed_nodes" in extras:
-        print(f"crashed nodes    : {extras['crashed_nodes']}")
-    if "first_invariant" in extras:
-        first = extras["first_invariant"] or "-"
-        print(f"violations       : {extras['violations']} (first: {first})")
+def _print_failure(payload: dict, as_json: bool) -> int:
+    """Report a diagnosed run that crashed or hung; its exit code is 1."""
+    if as_json:
+        print(json.dumps(payload, sort_keys=True))
+        return 1
+    for key in ("faults", "outcome", "error"):
+        print(f"{key:<17}: {payload[key]}")
+    if "missing_nodes" in payload:
+        print(f"missing outputs  : {payload['missing_nodes']}")
+    if "crashed_nodes" in payload:
+        print(f"crashed nodes    : {payload['crashed_nodes']}")
+    if "first_invariant" in payload:
+        first = payload["first_invariant"] or "-"
+        print(f"violations       : {payload['violations']} (first: {first})")
+    return 1
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    sim_kwargs = {"trace": True} if args.save_trace else {}
-    try:
-        faults = _faults_sim_kwargs(args, sim_kwargs)
-        monitor_set = _monitors_sim_kwargs(args, sim_kwargs)
-    except ValueError as error:
-        print(str(error), file=sys.stderr)
-        return 2
+    from repro.problems import problem_bundle
 
-    outcome = None
-    diagnosis = None
-    graph = GRAPH_FAMILIES[args.graph](args.n, args.seed, args.id_range)
-    try:
-        if faults is not None and args.algorithm in (
-            "randomized", "deterministic", "traditional"
-        ):
-            # A fault-injected MST run may crash, hang, or silently produce
-            # a wrong tree; classify instead of tracebacking.
-            from repro.graphs import verify_or_diagnose
-
-            diagnosis = verify_or_diagnose(
-                graph,
-                lambda: _dispatch_algorithm(args, graph, **sim_kwargs),
-                monitors=monitor_set,
-            )
-        else:
-            result = _dispatch_algorithm(args, graph, **sim_kwargs)
-    except UnsupportedFeatureError as error:
-        print(str(error), file=sys.stderr)
+    cell = _run_cell(args, **({"trace": True} if args.save_trace else {}))
+    if cell is None:
         return 2
-    if diagnosis is not None:
-        outcome = diagnosis.outcome
-        if not diagnosis.completed:
-            extras = _diagnosis_extras(diagnosis, monitor_set)
-            if args.json:
-                payload = {
-                    "algorithm": args.algorithm,
-                    "faults": faults,
-                    "outcome": outcome,
-                    "error": diagnosis.error,
-                    "correct": False,
-                }
-                payload.update(extras)
-                print(json.dumps(payload, sort_keys=True))
-            else:
-                print(f"faults           : {faults}")
-                print(f"outcome          : {outcome}")
-                print(f"error            : {diagnosis.error}")
-                _print_diagnosis_extras(extras)
-            return 1
-        result = diagnosis.result
+    graph, result, diagnosis = cell.graph, cell.result, cell.diagnosis
+    faults, monitor_set = cell.faults, cell.monitor_set
+    if diagnosis is not None and not diagnosis.completed:
+        payload = {
+            "algorithm": cell.spec.algorithm,
+            "faults": faults,
+            "outcome": diagnosis.outcome,
+            "error": diagnosis.error,
+            "correct": False,
+        }
+        payload.update(_diagnosis_extras(diagnosis, monitor_set))
+        return _print_failure(payload, args.json)
 
     trace_events = None
     if args.save_trace:
@@ -246,45 +212,25 @@ def _cmd_run(args: argparse.Namespace) -> int:
         trace_events = save_trace(result.simulation, args.save_trace)
 
     metrics = result.metrics
-    problem = _effective_problem(args)
-    if problem != "mst":
-        from repro.problems import problem_bundle
-
-        ok = result.is_correct(graph)
-        check = problem_bundle(problem).check_label
-    elif args.algorithm in ("randomized", "deterministic", "traditional"):
-        ok = result.is_correct_mst(graph)
-        check = "correct MST"
-    else:
-        from repro.graphs import is_spanning_tree
-
-        ok = is_spanning_tree(graph, result.mst_weights)
-        check = "spanning tree"
-
+    ok = result.is_correct(graph)
+    check = problem_bundle(cell.spec.problem).check_label
     monitor_report = monitor_set.report if monitor_set is not None else None
     monitors_ok = monitor_report.ok() if monitor_report is not None else True
 
     if args.json:
         payload = {
             "algorithm": result.algorithm,
-            "graph": {
-                "family": args.graph,
-                "n": graph.n,
-                "m": graph.m,
-                "max_id": graph.max_id,
-                "seed": args.seed,
-            },
+            "graph": _graph_payload(cell),
             "phases": result.phases,
             "metrics": metrics.summary(),
             "correct": ok,
         }
-        if problem != "mst":
-            payload["problem"] = problem
+        if cell.spec.problem != "mst":
+            payload["problem"] = cell.spec.problem
         if faults is not None:
             payload["faults"] = faults
-            payload["outcome"] = outcome
-            if diagnosis is not None:
-                payload.update(_diagnosis_extras(diagnosis, monitor_set))
+            payload["outcome"] = diagnosis.outcome
+            payload.update(_diagnosis_extras(diagnosis, monitor_set))
         if monitor_report is not None:
             payload["monitors"] = monitor_report.to_dict()
         if trace_events is not None:
@@ -297,16 +243,16 @@ def _cmd_run(args: argparse.Namespace) -> int:
     print(f"algorithm        : {result.algorithm}")
     if faults is not None:
         print(f"faults           : {faults}")
-        if outcome is not None:
-            print(f"outcome          : {outcome}")
+        print(f"outcome          : {diagnosis.outcome}")
         fault_counts = metrics.fault_summary()
         print(
             "fault counters   : "
             + " ".join(f"{key}={value}" for key, value in fault_counts.items())
         )
-        if diagnosis is not None and diagnosis.crashed_nodes:
+        if diagnosis.crashed_nodes:
             print(f"crashed nodes    : {list(diagnosis.crashed_nodes)}")
-    print(f"graph            : {args.graph} n={graph.n} m={graph.m} N={graph.max_id}")
+    print(f"graph            : {cell.spec.family} n={graph.n} m={graph.m} "
+          f"N={graph.max_id}")
     print(f"phases           : {result.phases}")
     print(f"awake complexity : {metrics.max_awake} "
           f"({metrics.max_awake / math.log2(max(2, graph.n)):.1f} x log2 n)")
@@ -337,47 +283,23 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         write_ndjson,
     )
 
-    sim_kwargs = {"observe": True, "trace": True}
-    try:
-        faults = _faults_sim_kwargs(args, sim_kwargs)
-    except ValueError as error:
-        print(str(error), file=sys.stderr)
+    cell = _run_cell(args, observe=True, trace=True)
+    if cell is None:
         return 2
-
-    if faults is not None and args.algorithm in (
-        "randomized", "deterministic", "traditional"
-    ):
-        # A faulted run may die (that is the point of injecting faults);
-        # report the diagnosis cleanly instead of an unhandled traceback.
-        from repro.graphs import verify_or_diagnose
-
-        graph = GRAPH_FAMILIES[args.graph](args.n, args.seed, args.id_range)
-        diagnosis = verify_or_diagnose(
-            graph, lambda: _dispatch_algorithm(args, graph, **sim_kwargs)
+    graph, result, diagnosis = cell.graph, cell.result, cell.diagnosis
+    faults = cell.faults
+    if diagnosis is not None and not diagnosis.completed:
+        return _print_failure(
+            {"faults": faults, "outcome": diagnosis.outcome, "error": diagnosis.error},
+            args.json,
         )
-        if not diagnosis.completed:
-            failure = {
-                "faults": faults,
-                "outcome": diagnosis.outcome,
-                "error": diagnosis.error,
-            }
-            if args.json:
-                print(json.dumps(failure, sort_keys=True))
-            else:
-                print(f"faults           : {faults}")
-                print(f"outcome          : {diagnosis.outcome}")
-                print(f"error            : {diagnosis.error}")
-            return 1
-        result = diagnosis.result
-    else:
-        graph, result = _run_algorithm(args, **sim_kwargs)
     spans = result.spans
-    label = f"{result.algorithm} {args.graph} n={graph.n} seed={args.seed}"
+    label = f"{result.algorithm} {cell.spec.family} n={graph.n} seed={cell.spec.seed}"
     metadata = {
         "algorithm": result.algorithm,
-        "family": args.graph,
+        "family": cell.spec.family,
         "n": graph.n,
-        "seed": args.seed,
+        "seed": cell.spec.seed,
     }
     if faults is not None:
         metadata["faults"] = faults
@@ -392,17 +314,19 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     if args.ndjson:
         ndjson_lines = write_ndjson(args.ndjson, span_log_lines(spans))
 
-    mismatches = check_awake_identity(spans, result.metrics)
+    # The spans count the engine's awake rounds; Traditional-GHS's
+    # result.metrics are re-accounted under always-awake rules.
+    mismatches = check_awake_identity(spans, result.simulation.metrics)
     identity_ok = not mismatches
 
     if args.json:
         payload = {
             "algorithm": result.algorithm,
             "graph": {
-                "family": args.graph,
+                "family": cell.spec.family,
                 "n": graph.n,
                 "m": graph.m,
-                "seed": args.seed,
+                "seed": cell.spec.seed,
             },
             "output": str(args.output),
             "events": events,
@@ -418,7 +342,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         return 0 if identity_ok else 1
 
     print(f"algorithm        : {result.algorithm}")
-    print(f"graph            : {args.graph} n={graph.n} m={graph.m}")
+    print(f"graph            : {cell.spec.family} n={graph.n} m={graph.m}")
     print(f"chrome trace     : {events} events -> {args.output}")
     if ndjson_lines is not None:
         print(f"span ndjson      : {ndjson_lines} lines -> {args.ndjson}")
@@ -442,57 +366,19 @@ def _cmd_check(args: argparse.Namespace) -> int:
     invariants are the expected outcome, so the exit code only signals
     operational errors.
     """
-    from repro.graphs import verify_or_diagnose
-    from repro.invariants import build_monitor_set, resolve_monitor_spec
-
-    try:
-        spec = resolve_monitor_spec(args.monitors)
-    except ValueError as error:
-        print(str(error), file=sys.stderr)
+    cell = _run_cell(args, diagnose=True)
+    if cell is None:
         return 2
-    if spec is None:
-        print(
-            "check needs at least one monitor (got --monitors off)",
-            file=sys.stderr,
-        )
-        return 2
-
-    problem = _effective_problem(args)
-    algorithm_label = args.algorithm
-    if problem != "mst":
-        from repro.problems import problem_bundle
-
-        # --problem mis dispatches the bundle's protocol regardless of
-        # --algorithm; report the canonical name it actually ran.
-        algorithm_label = problem_bundle(problem).default_algorithm
-    monitor_set = build_monitor_set(spec, problem=problem)
-    sim_kwargs = {"monitors": monitor_set}
-    try:
-        faults = _faults_sim_kwargs(args, sim_kwargs)
-    except ValueError as error:
-        print(str(error), file=sys.stderr)
-        return 2
-
-    graph = GRAPH_FAMILIES[args.graph](args.n, args.seed, args.id_range)
-    diagnosis = verify_or_diagnose(
-        graph,
-        lambda: _dispatch_algorithm(args, graph, **sim_kwargs),
-        monitors=monitor_set,
-    )
+    graph, diagnosis, monitor_set = cell.graph, cell.diagnosis, cell.monitor_set
+    spec, faults = cell.spec, cell.faults
     report = monitor_set.report
     payload = {
-        "algorithm": algorithm_label,
-        "graph": {
-            "family": args.graph,
-            "n": graph.n,
-            "m": graph.m,
-            "max_id": graph.max_id,
-            "seed": args.seed,
-        },
+        "algorithm": spec.algorithm,
+        "graph": _graph_payload(cell),
         "faults": faults,
         "monitors": list(monitor_set.names),
         "outcome": diagnosis.outcome,
-        **({} if problem == "mst" else {"problem": problem}),
+        **({} if spec.problem == "mst" else {"problem": spec.problem}),
         "error": diagnosis.error,
         "correct": diagnosis.outcome == "correct",
         "checks_run": report.checks_run,
@@ -509,10 +395,10 @@ def _cmd_check(args: argparse.Namespace) -> int:
         print(json.dumps(payload, sort_keys=True))
     perfect_ok = diagnosis.outcome == "correct" and report.ok()
     if not args.json:
-        print(f"algorithm        : {algorithm_label}")
+        print(f"algorithm        : {spec.algorithm}")
         print(
-            f"graph            : {args.graph} n={graph.n} m={graph.m} "
-            f"N={graph.max_id} seed={args.seed}"
+            f"graph            : {spec.family} n={graph.n} m={graph.m} "
+            f"N={graph.max_id} seed={spec.seed}"
         )
         print(f"monitors         : {','.join(monitor_set.names)}")
         if faults is not None:
@@ -967,19 +853,39 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_walkthrough(_args: argparse.Namespace) -> int:
-    from repro.analysis import run_merging_walkthrough
+def _add_cell_arguments(parser: argparse.ArgumentParser, n: int) -> None:
+    """Flags naming one cell, shared by ``run``, ``check`` and ``trace``."""
+    parser.add_argument(
+        "--algorithm", choices=CELL_ALGORITHMS, default="randomized",
+        help="MST algorithm, or mis (same as --problem mis)",
+    )
+    parser.add_argument(
+        "--problem", choices=("mst", "mis"), default="mst",
+        help="problem bundle to dispatch: it selects the validator and the "
+        "monitors 'all' expands to (mis ignores --algorithm and runs the "
+        "O(log log n)-awake Sleeping-MIS protocol)",
+    )
+    parser.add_argument("--graph", choices=sorted(GRAPH_FAMILIES), default="gnp")
+    parser.add_argument("--n", type=int, default=n)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--id-range", type=int, default=None)
+    parser.add_argument(
+        "--faults", default=None, metavar="SPEC",
+        help="channel spec for fault injection (e.g. drop:0.05, delay:3, "
+        "dup:0.1, crash:2@50, drop:0.01+crash:1@40); the run is classified "
+        "as correct / detected_wrong / silent_wrong / hung",
+    )
+    parser.add_argument(
+        "--json", action="store_true", help="emit one JSON object instead of text"
+    )
 
-    walkthrough = run_merging_walkthrough()
-    print("Figure 2 (before):")
-    for node, snapshot in sorted(walkthrough.before.items()):
-        print(f"  node {node:>2}: fragment={snapshot.fragment_id} "
-              f"level={snapshot.level} parent={snapshot.parent}")
-    print("Figure 5 (after):")
-    for node, snapshot in sorted(walkthrough.after.items()):
-        print(f"  node {node:>2}: fragment={snapshot.fragment_id} "
-              f"level={snapshot.level} parent={snapshot.parent}")
-    return 0
+
+def _add_termination_argument(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--termination", choices=("adaptive", "fixed"), default="adaptive",
+        help="MST phase budget: adaptive, or the paper's fixed count "
+        "(Randomized-MST and Traditional-GHS only)",
+    )
 
 
 def _add_grid_arguments(parser: argparse.ArgumentParser) -> None:
@@ -1029,29 +935,8 @@ def build_parser() -> argparse.ArgumentParser:
     subparsers = parser.add_subparsers(dest="command", required=True)
 
     run_parser = subparsers.add_parser("run", help="run one algorithm")
-    run_parser.add_argument(
-        "--algorithm",
-        choices=(
-            "randomized", "deterministic", "traditional", "spanning-tree",
-            "mis",
-        ),
-        default="randomized",
-    )
-    run_parser.add_argument(
-        "--problem", choices=("mst", "mis"), default="mst",
-        help="problem bundle to dispatch (mis ignores --algorithm and runs "
-        "the O(log log n)-awake Sleeping-MIS protocol)",
-    )
-    run_parser.add_argument("--graph", choices=sorted(GRAPH_FAMILIES), default="gnp")
-    run_parser.add_argument("--n", type=int, default=64)
-    run_parser.add_argument("--seed", type=int, default=0)
-    run_parser.add_argument("--id-range", type=int, default=None)
-    run_parser.add_argument(
-        "--termination", choices=("adaptive", "fixed"), default="adaptive"
-    )
-    run_parser.add_argument(
-        "--coloring", choices=("fast-awake", "log-star"), default="fast-awake"
-    )
+    _add_cell_arguments(run_parser, n=64)
+    _add_termination_argument(run_parser)
     run_parser.add_argument(
         "--engine", choices=("coroutine", "array"), default=None,
         help="simulation backend: coroutine (default) or the vectorized "
@@ -1064,19 +949,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="record the execution trace and save it as JSONL",
     )
     run_parser.add_argument(
-        "--faults", default=None, metavar="SPEC",
-        help="channel spec for fault injection (e.g. drop:0.05, delay:3, "
-        "dup:0.1, crash:2@50, drop:0.01+crash:1@40); the run is classified "
-        "as correct / detected_wrong / silent_wrong / hung",
-    )
-    run_parser.add_argument(
         "--monitors", default=None, metavar="SPEC",
         help="attach runtime invariant monitors: 'all', 'off', or a "
         "comma-separated subset of "
         "fldt-wellformed,star-merge,... (see repro.invariants)",
-    )
-    run_parser.add_argument(
-        "--json", action="store_true", help="emit one JSON object instead of text"
     )
     run_parser.set_defaults(func=_cmd_run)
 
@@ -1084,43 +960,15 @@ def build_parser() -> argparse.ArgumentParser:
         "check",
         help="run with invariant monitors attached; report broken lemmas",
     )
-    check_parser.add_argument(
-        "--algorithm",
-        choices=("randomized", "deterministic", "mis"),
-        default="randomized",
-    )
-    check_parser.add_argument(
-        "--problem", choices=("mst", "mis"), default="mst",
-        help="problem bundle: selects the monitor set 'all' expands to "
-        "and the validator the outcome is judged by",
-    )
-    check_parser.add_argument(
-        "--graph", choices=sorted(GRAPH_FAMILIES), default="gnp"
-    )
-    check_parser.add_argument("--n", type=int, default=32)
-    check_parser.add_argument("--seed", type=int, default=0)
-    check_parser.add_argument("--id-range", type=int, default=None)
-    check_parser.add_argument(
-        "--termination", choices=("adaptive", "fixed"), default="adaptive"
-    )
-    check_parser.add_argument(
-        "--coloring", choices=("fast-awake", "log-star"), default="fast-awake"
-    )
+    _add_cell_arguments(check_parser, n=32)
+    _add_termination_argument(check_parser)
     check_parser.add_argument(
         "--monitors", default="all", metavar="SPEC",
         help="'all' (default) or a comma-separated subset of monitor names",
     )
     check_parser.add_argument(
-        "--faults", default=None, metavar="SPEC",
-        help="channel spec for fault injection; the report then names the "
-        "first invariant the faults broke",
-    )
-    check_parser.add_argument(
         "--output", default=None, metavar="PATH",
         help="also write the JSON report to this file",
-    )
-    check_parser.add_argument(
-        "--json", action="store_true", help="emit one JSON object instead of text"
     )
     check_parser.set_defaults(func=_cmd_check)
 
@@ -1330,27 +1178,7 @@ def build_parser() -> argparse.ArgumentParser:
         "trace",
         help="run once with span observability; export a Chrome trace",
     )
-    trace_parser.add_argument(
-        "--algorithm",
-        choices=(
-            "randomized", "deterministic", "traditional", "spanning-tree",
-            "mis",
-        ),
-        default="randomized",
-    )
-    trace_parser.add_argument(
-        "--problem", choices=("mst", "mis"), default="mst",
-        help="problem bundle to dispatch (mis runs Sleeping-MIS)",
-    )
-    trace_parser.add_argument(
-        "--graph", choices=sorted(GRAPH_FAMILIES), default="gnp"
-    )
-    trace_parser.add_argument("--n", type=int, default=64)
-    trace_parser.add_argument("--seed", type=int, default=0)
-    trace_parser.add_argument("--id-range", type=int, default=None)
-    trace_parser.add_argument(
-        "--coloring", choices=("fast-awake", "log-star"), default="fast-awake"
-    )
+    _add_cell_arguments(trace_parser, n=64)
     trace_parser.add_argument(
         "--output", default="repro-trace.json", metavar="PATH",
         help="Chrome trace-event JSON output (open in Perfetto / chrome://tracing)",
@@ -1358,14 +1186,6 @@ def build_parser() -> argparse.ArgumentParser:
     trace_parser.add_argument(
         "--ndjson", default=None, metavar="PATH",
         help="also write per-span NDJSON structured logs",
-    )
-    trace_parser.add_argument(
-        "--faults", default=None, metavar="SPEC",
-        help="channel spec for fault injection; fault events land in the "
-        "Chrome trace under the 'fault' category",
-    )
-    trace_parser.add_argument(
-        "--json", action="store_true", help="emit one JSON object instead of text"
     )
     trace_parser.set_defaults(func=_cmd_trace)
 
@@ -1436,11 +1256,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="run only this experiment (repeatable)",
     )
     experiments_parser.set_defaults(func=_cmd_experiments)
-
-    walkthrough_parser = subparsers.add_parser(
-        "walkthrough", help="print the Figures 2-5 merge walk-through"
-    )
-    walkthrough_parser.set_defaults(func=_cmd_walkthrough)
 
     return parser
 

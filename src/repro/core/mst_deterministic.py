@@ -78,7 +78,7 @@ def deterministic_phase_count(n: int) -> int:
 
     Provided for completeness/documentation; it is far too conservative to
     execute literally (millions of phases even for tiny ``n``), which is why
-    the runner defaults to adaptive termination.
+    the protocol runs only with adaptive termination.
     """
     if n < 2:
         return 0
@@ -98,25 +98,22 @@ def deterministic_mst_protocol(
 ):
     """Protocol generator for one node running ``Deterministic-MST``.
 
-    ``termination="adaptive"`` (default) stops when the fragment spans the
-    graph; the budget then defaults to ``n`` phases (each phase with ≥ 2
+    Only ``termination="adaptive"`` runs: it stops when the fragment spans
+    the graph; the budget defaults to ``n`` phases (each phase with ≥ 2
     fragments removes at least one Blue fragment, so ``n`` always
-    suffices).  ``termination="fixed"`` uses the paper's literal budget —
-    documented but impractical to run.
+    suffices).  ``"fixed"`` (the paper's :func:`deterministic_phase_count`,
+    over 240,000 phases) is rejected like any unknown mode.
     """
-    if termination not in ("adaptive", "fixed"):
-        raise ValueError(f"unknown termination mode {termination!r}")
+    if termination != "adaptive":
+        raise ValueError(
+            "Deterministic-MST runs only with termination='adaptive', "
+            f"not {termination!r}"
+        )
     if coloring not in ("fast-awake", "log-star"):
         raise ValueError(f"unknown coloring subroutine {coloring!r}")
-    adaptive = termination == "adaptive"
 
     ldt = LDTState.singleton(ctx.node_id)
-    if max_phases is not None:
-        phase_budget = max_phases
-    elif adaptive:
-        phase_budget = max(1, ctx.n)
-    else:
-        phase_budget = deterministic_phase_count(ctx.n)
+    phase_budget = max(1, ctx.n) if max_phases is None else max_phases
     phases_run = 0
 
     if ctx.n == 1 or not ctx.ports:
@@ -145,9 +142,9 @@ def deterministic_mst_protocol(
                     ctx, ldt, clock.take(), candidate_weight
                 )
 
-            # Block 3: broadcast MOE weight and (adaptive) halt flag.
+            # Block 3: broadcast MOE weight and halt flag.
             if ldt.is_root:
-                halt = 1 if (adaptive and fragment_moe is NOTHING) else 0
+                halt = 1 if fragment_moe is NOTHING else 0
                 message = (
                     fragment_moe if fragment_moe is not NOTHING else 0,
                     halt,

@@ -247,7 +247,9 @@ def run_deterministic_mst(
     paper's ``Fast-Awake-Coloring`` (``O(1)`` awake, ``O(nN)`` rounds per
     phase).  Only the ``"coroutine"`` engine implements this algorithm;
     ``engine="array"`` raises
-    :class:`repro.sim.errors.UnsupportedFeatureError`.
+    :class:`repro.sim.errors.UnsupportedFeatureError`.  Only
+    ``termination="adaptive"`` runs; any other mode raises ``ValueError``
+    (see :func:`repro.core.mst_deterministic.deterministic_mst_protocol`).
     """
     require(engine, "Deterministic-MST")
     from .mst_deterministic import deterministic_mst_protocol

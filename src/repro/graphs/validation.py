@@ -185,9 +185,12 @@ def verify_or_diagnose(
     :class:`repro.core.RunResult` — the problem-generic surface) or the
     legacy ``is_correct_mst(graph)``.  Exceptions raised by ``run`` are
     classified, not propagated — except for
-    ``KeyboardInterrupt``/``SystemExit`` and
-    :class:`~repro.sim.errors.UnsupportedFeatureError`: a configuration the
-    backend cannot run is the caller's error, not a protocol outcome.
+    ``KeyboardInterrupt``/``SystemExit``,
+    :class:`~repro.sim.errors.UnsupportedFeatureError` and ``ValueError``
+    (the engine wraps a protocol's errors as ``NodeCrashed``, so a bare
+    one is an option or a graph rejected before the first round): a
+    configuration the backend cannot run is the caller's error, not a
+    protocol outcome.
 
     When the run was executed with an attached
     :class:`repro.invariants.MonitorSet`, pass it as ``monitors``: the
@@ -211,7 +214,7 @@ def verify_or_diagnose(
         return MSTDiagnosis(
             outcome="hung", error=str(error), **_monitor_fields(monitors)
         )
-    except (SimulationError, AssertionError, ValueError) as error:
+    except (SimulationError, AssertionError) as error:
         missing: Tuple[int, ...] = ()
         crashed: Tuple[int, ...] = ()
         if isinstance(error, MSTOutputError):

@@ -567,29 +567,31 @@ def check_congest_budget(metrics: Any, budget: int) -> List[Violation]:
 def check_mis_independence(
     graph: Any, phase: Optional[int], snapshots: Dict[int, Dict[str, Any]]
 ) -> List[Violation]:
-    """No two adjacent nodes both decided *in* (independence)."""
-    if graph is None or not hasattr(graph, "edges"):
+    """No two adjacent nodes both decided *in* (independence).
+
+    Reads the graph's edge columns, in the order ``edges()`` lists them,
+    so a monitored cell builds no ``Edge`` objects.
+    """
+    if graph is None:
         return []
     in_mis = {
         node for node, state in snapshots.items() if state.get("in_mis")
     }
     violations: List[Violation] = []
-    for edge in graph.edges():
-        if edge.u in in_mis and edge.v in in_mis:
+    columns = graph.edge_columns
+    for u, v in zip(columns.u, columns.v):
+        if u in in_mis and v in in_mis:
             violations.append(
                 Violation(
                     invariant="mis-independence",
                     lemma="MIS independence (arXiv 2204.08359, Lemma 1)",
                     message=(
-                        f"adjacent nodes {edge.u} and {edge.v} both "
+                        f"adjacent nodes {u} and {v} both "
                         f"decided to join the MIS"
                     ),
                     phase=phase,
                     snapshot=snapshot_states(
-                        {
-                            node: snapshots[node]
-                            for node in (edge.u, edge.v)
-                        }
+                        {node: snapshots[node] for node in (u, v)}
                     ),
                 )
             )

@@ -22,12 +22,14 @@ from .cache import ResultCache
 from .jobs import (
     FAULT_MAX_AWAKE_EVENTS,
     GRID_PAYLOAD_KEYS,
+    Cell,
     JobSpec,
     canonical_json,
     execute_job,
     expand_grid,
     grid_from_payload,
     grid_key,
+    run_cell,
 )
 from .pool import BatchReport, JobTimeout, execute_with_policy, run_jobs
 from .progress import ProgressReporter
@@ -57,6 +59,7 @@ __all__ = [
     "ALGORITHM_ALIASES",
     "ALGORITHMS",
     "BatchReport",
+    "Cell",
     "DIAGNOSTIC_ALGORITHMS",
     "GRAPH_FAMILIES",
     "JobSpec",
@@ -84,5 +87,6 @@ __all__ = [
     "resolve_channel_spec",
     "resolve_family",
     "resolve_problem",
+    "run_cell",
     "run_jobs",
 ]

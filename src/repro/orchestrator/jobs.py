@@ -6,10 +6,12 @@ experiment grid (plus optional sparse-ID range and engine options).  Its
 same cell always hashes identically across processes and sessions — the
 content address used by the result cache and the run store.
 
-:func:`execute_job` is the single place a spec becomes a measurement: it
-builds the graph, runs the algorithm, and returns the flat metrics record
-every consumer (campaign reports, Table 1, the batch CLI) shares.  It is a
-module-level function so worker processes can pickle it.
+:func:`run_cell` is the single place a spec becomes a run: it builds the
+graph, attaches monitors and the fault channel, and runs (or diagnoses)
+the algorithm.  :func:`execute_job` turns that cell into the flat metrics
+record every consumer (campaign reports, Table 1, the batch CLI) shares;
+it is a module-level function so worker processes can pickle it.  The
+CLI's ``run``, ``check`` and ``trace`` render the cell itself.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import hashlib
 import itertools
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.sim.capabilities import resolve_engine
 
@@ -32,11 +34,23 @@ from .registry import (
     resolve_problem,
 )
 
+if TYPE_CHECKING:
+    from repro.core import RunResult
+    from repro.graphs import MSTDiagnosis, WeightedGraph
+    from repro.invariants import MonitorSet
+
 #: Awake-event cap applied to fault-injected jobs that don't set their own:
 #: a protocol livelocked by message loss must terminate as ``hung`` instead
 #: of spinning forever.  Far above any terminating run at orchestrator
 #: scales (n=256 randomized MST uses ~6e4 awake events).
 FAULT_MAX_AWAKE_EVENTS = 2_000_000
+
+#: Record fields measured by a run; ``None`` when a faulted run crashed
+#: or hung, so every record keeps one shape.
+RUN_FIELDS = (
+    "phases", "max_awake", "mean_awake", "rounds", "awake_round_product",
+    "messages", "bits",
+)
 
 
 def canonical_json(payload: Any) -> str:
@@ -284,123 +298,125 @@ def grid_key(specs: Sequence[JobSpec]) -> str:
     ).hexdigest()
 
 
+@dataclass(frozen=True)
+class Cell:
+    """One executed cell, as :func:`run_cell` leaves it.
+
+    ``diagnosis`` is set when the run was classified (a ``faults``
+    option, or ``diagnose=True``); ``result`` is ``None`` only when such
+    a run crashed or hung.  ``monitor_set`` is the attached
+    :class:`repro.invariants.MonitorSet`, if the spec asked for one.
+    """
+
+    spec: JobSpec
+    graph: WeightedGraph
+    result: Optional[RunResult]
+    diagnosis: Optional[MSTDiagnosis] = None
+    monitor_set: Optional[MonitorSet] = None
+
+    @property
+    def faults(self) -> Optional[str]:
+        """The spec's channel spec; ``None`` on the perfect channel."""
+        return dict(self.spec.options).get("faults")
+
+
+def run_cell(spec: JobSpec, *, diagnose: bool = False, **sim_kwargs: Any) -> Cell:
+    """Build and run one cell: graph, monitor set, fault channel, run.
+
+    Grid, campaign and service cells (via :func:`execute_job`) and the
+    CLI's ``run``, ``check`` and ``trace`` all go through here.
+    ``sim_kwargs`` (``trace=True``, ``observe=True``) reach the runner
+    next to the spec's options and never enter the spec.  A ``faults``
+    option (a :mod:`repro.sim.transport` channel spec) runs under that
+    channel, capped at :data:`FAULT_MAX_AWAKE_EVENTS` awake events
+    unless the spec sets its own.  Such a run, and any run with
+    ``diagnose=True``, is classified by
+    :func:`repro.graphs.verify_or_diagnose`; any other run's exceptions
+    propagate.
+    """
+    graph = graph_factory(spec.family)(spec.n, spec.seed, spec.id_range)
+    runner = algorithm_runner(spec.algorithm, spec.problem)
+    options = dict(spec.options)
+    faults = options.pop("faults", None)
+    # Built fresh inside the worker — MonitorSet instances hold run
+    # state and are not meant to cross process boundaries.
+    from repro.invariants import build_monitor_set
+
+    monitor_set = build_monitor_set(options.pop("monitors", None), problem=spec.problem)
+    if monitor_set is not None:
+        options["monitors"] = monitor_set
+    options.update(sim_kwargs)
+    if faults is not None:
+        options["channel"] = channel_from_spec(faults)
+        options.setdefault("max_awake_events", FAULT_MAX_AWAKE_EVENTS)
+    elif not diagnose:
+        result = runner(graph, spec.seed, **options)
+        return Cell(spec, graph, result, monitor_set=monitor_set)
+
+    from repro.graphs import verify_or_diagnose
+
+    diagnosis = verify_or_diagnose(
+        graph, lambda: runner(graph, spec.seed, **options), monitors=monitor_set
+    )
+    return Cell(spec, graph, diagnosis.result, diagnosis, monitor_set)
+
+
 def execute_job(spec: JobSpec) -> Dict[str, Any]:
     """Run one job and return its flat, deterministic metrics record.
 
     Store records, cache entries and campaign reports all carry this
     one record as ``metrics``, so they are interchangeable.
 
-    When the spec carries a ``faults`` option (a channel spec string, see
-    :mod:`repro.sim.transport`), the run is executed under that channel,
-    classified by :func:`repro.graphs.verify_or_diagnose`, and the record
-    additionally carries ``faults``/``outcome``/``error`` plus the fault
-    counters; runs that crashed or hung keep the record shape with
-    ``None`` metrics fields.  Fault-free specs produce records identical
-    to before the transport layer existed.
+    A faulted cell's record additionally carries ``faults``/``outcome``/
+    ``error`` plus the fault counters; runs that crashed or hung keep the
+    record shape with ``None`` metrics fields.  Fault-free specs produce
+    records identical to before the transport layer existed.
     """
-    graph = graph_factory(spec.family)(spec.n, spec.seed, spec.id_range)
-    runner = algorithm_runner(spec.algorithm, spec.problem)
-    options = dict(spec.options)
-    faults = options.pop("faults", None)
-    monitors_spec = options.pop("monitors", None)
-    monitor_set = None
-    if monitors_spec is not None:
-        # Built fresh inside the worker — MonitorSet instances hold run
-        # state and are not meant to cross process boundaries.
-        from repro.invariants import build_monitor_set
-
-        monitor_set = build_monitor_set(monitors_spec, problem=spec.problem)
-        if monitor_set is not None:
-            options["monitors"] = monitor_set
-
-    def monitor_fields() -> Dict[str, Any]:
-        if monitor_set is None:
-            return {}
-        report = monitor_set.finalize()
-        return {
-            "monitors": monitors_spec,
-            "monitor_checks": report.checks_run,
-            "violations": len(report),
-            "first_invariant": report.first_invariant,
-        }
-
-    problem_fields = {} if spec.problem == "mst" else {"problem": spec.problem}
-    if faults is None:
-        result = runner(graph, spec.seed, **options)
-        metrics = result.metrics
-        record = {
-            **problem_fields,
-            "algorithm": spec.algorithm,
-            "family": spec.family,
-            "n": graph.n,
-            "m": graph.m,
-            "max_id": graph.max_id,
-            "seed": spec.seed,
-            "phases": result.phases,
-            "max_awake": metrics.max_awake,
-            "mean_awake": round(metrics.mean_awake, 3),
-            "rounds": metrics.rounds,
-            "awake_round_product": metrics.awake_round_product,
-            "messages": metrics.messages_delivered,
-            "bits": metrics.total_bits,
-            "correct": result.is_correct(graph),
-        }
-        record.update(monitor_fields())
-        return record
-
-    from repro.graphs import verify_or_diagnose
-
-    options.setdefault("max_awake_events", FAULT_MAX_AWAKE_EVENTS)
-    diagnosis = verify_or_diagnose(
-        graph,
-        lambda: runner(
-            graph, spec.seed, channel=channel_from_spec(faults), **options
-        ),
-        monitors=monitor_set,
-    )
+    cell = run_cell(spec)
+    graph, result, diagnosis = cell.graph, cell.result, cell.diagnosis
     record: Dict[str, Any] = {
-        **problem_fields,
+        **({} if spec.problem == "mst" else {"problem": spec.problem}),
         "algorithm": spec.algorithm,
         "family": spec.family,
         "n": graph.n,
         "m": graph.m,
         "max_id": graph.max_id,
         "seed": spec.seed,
-        "faults": faults,
-        "outcome": diagnosis.outcome,
-        "error": diagnosis.error,
-        "correct": diagnosis.outcome == "correct",
     }
-    if diagnosis.missing_nodes:
-        record["missing_nodes"] = list(diagnosis.missing_nodes)
-    if diagnosis.crashed_nodes:
-        record["crashed_nodes"] = list(diagnosis.crashed_nodes)
-    record.update(monitor_fields())
-    if diagnosis.completed:
-        result = diagnosis.result
-        metrics = result.metrics
-        record.update(
-            {
-                "phases": result.phases,
-                "max_awake": metrics.max_awake,
-                "mean_awake": round(metrics.mean_awake, 3),
-                "rounds": metrics.rounds,
-                "awake_round_product": metrics.awake_round_product,
-                "messages": metrics.messages_delivered,
-                "bits": metrics.total_bits,
-            }
-        )
-        record.update(metrics.fault_summary())
+    if diagnosis is None:
+        record["correct"] = result.is_correct(graph)
     else:
         record.update(
-            {
-                "phases": None,
-                "max_awake": None,
-                "mean_awake": None,
-                "rounds": None,
-                "awake_round_product": None,
-                "messages": None,
-                "bits": None,
-            }
+            faults=cell.faults,
+            outcome=diagnosis.outcome,
+            error=diagnosis.error,
+            correct=diagnosis.outcome == "correct",
         )
+        if diagnosis.missing_nodes:
+            record["missing_nodes"] = list(diagnosis.missing_nodes)
+        if diagnosis.crashed_nodes:
+            record["crashed_nodes"] = list(diagnosis.crashed_nodes)
+    if cell.monitor_set is not None:
+        report = cell.monitor_set.finalize()
+        record.update(
+            monitors=dict(spec.options)["monitors"],
+            monitor_checks=report.checks_run,
+            violations=len(report),
+            first_invariant=report.first_invariant,
+        )
+    if result is None:
+        record.update(dict.fromkeys(RUN_FIELDS))
+        return record
+    metrics = result.metrics
+    record.update(
+        phases=result.phases,
+        max_awake=metrics.max_awake,
+        mean_awake=round(metrics.mean_awake, 3),
+        rounds=metrics.rounds,
+        awake_round_product=metrics.awake_round_product,
+        messages=metrics.messages_delivered,
+        bits=metrics.total_bits,
+    )
+    if diagnosis is not None:
+        record.update(metrics.fault_summary())
     return record

@@ -36,6 +36,7 @@ def _run_logstar(graph: WeightedGraph, seed: int, **options: Any):
 
 # The comparators have no vectorized implementation; ``engine`` is taken
 # here so that ``"array"`` fails loudly instead of reaching the GHS runners.
+# Pipelined-GHS has no phase budget, so ``termination`` is taken too.
 def _run_traditional(
     graph: WeightedGraph, seed: int, engine: Optional[str] = None, **options: Any
 ):
@@ -44,9 +45,12 @@ def _run_traditional(
 
 
 def _run_pipelined(
-    graph: WeightedGraph, seed: int, engine: Optional[str] = None, **options: Any
+    graph: WeightedGraph, seed: int, engine: Optional[str] = None,
+    termination: str = "adaptive", **options: Any,
 ):
     require(engine, "Pipelined-GHS")
+    if termination != "adaptive":
+        raise ValueError("Pipelined-GHS runs only with termination='adaptive'")
     return run_pipelined_ghs(graph, seed=seed, **options)
 
 

@@ -126,9 +126,11 @@ class TestOptions:
             run_deterministic_mst(graph, coloring="rainbow")
 
     def test_unknown_termination_rejected(self):
+        # The fixed budget is over 240,000 phases; only adaptive runs.
         graph = path_graph(3, seed=1)
-        with pytest.raises(Exception, match="termination"):
-            run_deterministic_mst(graph, termination="bogus")
+        for termination in ("bogus", "fixed"):
+            with pytest.raises(ValueError, match="termination='adaptive'"):
+                run_deterministic_mst(graph, termination=termination)
 
     def test_max_phases_cap(self):
         graph = path_graph(10, seed=2)

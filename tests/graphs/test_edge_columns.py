@@ -4,7 +4,8 @@ A graph stores its edges as columns; ``Edge`` objects exist only for
 callers that ask for them.  The count guard below pins that building
 every registry family and running a whole cell on either engine builds
 none: the per-cell consumers (``ArrayGraph``, input and output
-validation, the reference MST weight set) read the columns.
+validation, the reference MST weight set, the MIS independence monitor)
+read the columns.
 """
 
 from __future__ import annotations
@@ -61,6 +62,12 @@ class TestCountGuard:
 
     def test_coroutine_cell_builds_no_edge(self, edge_count):
         run_cell(families=["gnp"], sizes=[32], seeds=[1])
+        assert edge_count[0] == 0
+
+    def test_monitored_mis_cell_builds_no_edge(self, edge_count):
+        run_cell(
+            families=["gnp"], sizes=[24], seeds=[1], problem="mis", monitors="all"
+        )
         assert edge_count[0] == 0
 
     def test_edges_are_built_once_on_first_request(self, edge_count):

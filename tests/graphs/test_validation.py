@@ -151,6 +151,17 @@ class TestVerifyOrDiagnose:
         with pytest.raises(OSError):
             verify_or_diagnose(ring_graph(6, seed=1), broken)
 
+    def test_rejected_configuration_propagates(self):
+        # A ValueError comes from before the first round (the engine wraps
+        # protocol errors in NodeCrashed): the caller's error, not an outcome.
+        from repro.core import run_deterministic_mst
+
+        graph = ring_graph(6, seed=1)
+        with pytest.raises(ValueError, match="termination='adaptive'"):
+            verify_or_diagnose(
+                graph, lambda: run_deterministic_mst(graph, termination="fixed")
+            )
+
     def test_outcomes_tuple_covers_all(self):
         assert set(DIAGNOSIS_OUTCOMES) == {
             "correct",

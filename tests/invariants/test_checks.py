@@ -19,6 +19,7 @@ from repro.invariants import (
     check_coloring_legal,
     check_congest_budget,
     check_fldt_wellformed,
+    check_mis_independence,
     check_moe_sparsification,
     check_mst_subforest,
     check_star_merge,
@@ -301,3 +302,21 @@ class TestCongestBudget:
         violations = check_congest_budget(metrics, 64)
         assert len(violations) == 1
         assert "90 bits" in violations[0].message
+
+
+class TestMISIndependence:
+    def test_adjacent_in_nodes_reported(self):
+        graph = path_graph(4, seed=1)
+        snapshots = {node: {"in_mis": False} for node in graph.node_ids}
+        edge = graph.edges()[1]
+        snapshots[edge.u]["in_mis"] = snapshots[edge.v]["in_mis"] = True
+        (violation,) = check_mis_independence(graph, 2, snapshots)
+        assert violation.invariant == "mis-independence"
+        assert violation.phase == 2
+        assert violation.message == (
+            f"adjacent nodes {edge.u} and {edge.v} both decided to join the MIS"
+        )
+        assert set(violation.snapshot) == {edge.u, edge.v}
+
+    def test_no_graph_is_silent(self):
+        assert check_mis_independence(None, 1, {1: {"in_mis": True}}) == []

@@ -58,7 +58,7 @@ def test_trace_uninstrumented_baseline_still_validates(tmp_path):
     code = main(
         [
             "trace",
-            "--algorithm", "spanning-tree",
+            "--algorithm", "pipelined",
             "--graph", "ring",
             "--n", "8",
             "--output", str(output),
@@ -66,3 +66,24 @@ def test_trace_uninstrumented_baseline_still_validates(tmp_path):
     )
     assert code == 0
     validate_chrome_trace(json.loads(output.read_text()))
+
+
+def test_trace_traditional_identity_holds(tmp_path, capsys):
+    """Traditional-GHS re-accounts ``result.metrics`` as always awake; the
+    identity compares the spans with the engine's own accounting."""
+    code = main(
+        [
+            "trace",
+            "--algorithm", "traditional",
+            "--graph", "ring",
+            "--n", "8",
+            "--seed", "1",
+            "--output", str(tmp_path / "trace.json"),
+            "--json",
+        ]
+    )
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert payload["identity_ok"] is True
+    assert payload["algorithm"] == "Traditional-GHS"
+    assert payload["metrics"]["max_awake"] == payload["metrics"]["rounds"]
