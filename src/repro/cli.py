@@ -602,6 +602,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     import logging
+    import signal
     from pathlib import Path
 
     from repro.orchestrator import ResultCache
@@ -641,8 +642,19 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         f"root={queue.root})",
         flush=True,
     )
-    serve_forever(server)
+    # SIGTERM (`kill`, service managers) drains like Ctrl-C, so the idle
+    # pool workers of `--job-workers > 1` end with the daemon instead of
+    # outliving it.
+    previous = signal.signal(signal.SIGTERM, _raise_interrupt)
+    try:
+        serve_forever(server)
+    finally:
+        signal.signal(signal.SIGTERM, previous)
     return 0
+
+
+def _raise_interrupt(signum: int, frame: Any) -> None:
+    raise KeyboardInterrupt
 
 
 def _cmd_submit(args: argparse.Namespace) -> int:

@@ -6,7 +6,8 @@ of content-hashed :class:`JobSpec`; :func:`run_jobs` executes them with
 crash isolation across a worker pool, serves repeats from the
 content-addressed :class:`ResultCache`, journals every outcome to an
 append-only JSONL :class:`RunStore`, and skips cells a ``resume`` store
-already completed.
+already completed.  Pool workers stay warm across calls until
+:func:`shutdown_workers` or interpreter exit.
 
 .. code-block:: python
 
@@ -31,7 +32,13 @@ from .jobs import (
     grid_key,
     run_cell,
 )
-from .pool import BatchReport, JobTimeout, execute_with_policy, run_jobs
+from .pool import (
+    BatchReport,
+    JobTimeout,
+    execute_with_policy,
+    run_jobs,
+    shutdown_workers,
+)
 from .progress import ProgressReporter
 from .registry import (
     ALGORITHM_ALIASES,
@@ -89,4 +96,5 @@ __all__ = [
     "resolve_problem",
     "run_cell",
     "run_jobs",
+    "shutdown_workers",
 ]

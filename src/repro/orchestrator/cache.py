@@ -71,12 +71,15 @@ class ResultCache:
         path.parent.mkdir(parents=True, exist_ok=True)
         payload = record.to_dict()
         payload["telemetry"] = {}
+        # One C-encoder call and one write; ``json.dump`` would run the
+        # pure-Python encoder and write it chunk by chunk.
+        text = json.dumps(payload, sort_keys=True)
         descriptor, temp_path = tempfile.mkstemp(
             dir=str(path.parent), suffix=".tmp"
         )
         try:
             with os.fdopen(descriptor, "w", encoding="utf-8") as handle:
-                json.dump(payload, handle, sort_keys=True)
+                handle.write(text)
             os.replace(temp_path, path)
         except OSError:
             try:

@@ -22,6 +22,7 @@ import json
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
+from repro.problems import problem_bundle
 from repro.sim.capabilities import resolve_engine
 
 from .registry import (
@@ -86,15 +87,22 @@ class JobSpec:
         options: Optional[Mapping[str, Any]] = None,
         problem: Optional[str] = None,
     ) -> "JobSpec":
-        """Build a validated spec; alias names resolve to canonical ones."""
+        """Build a validated spec; alias names resolve to canonical ones.
+
+        Raises ``ValueError`` for an option the algorithm's runner does
+        not accept (:meth:`repro.problems.ProblemBundle.check_options`).
+        """
         problem = resolve_problem(problem)
+        algorithm = resolve_algorithm(algorithm, problem)
+        options = dict(options or {})
+        problem_bundle(problem).check_options(algorithm, options)
         return cls(
-            algorithm=resolve_algorithm(algorithm, problem),
+            algorithm=algorithm,
             family=resolve_family(family),
             n=int(n),
             seed=int(seed),
             id_range=None if id_range is None else int(id_range),
-            options=tuple(sorted((options or {}).items())),
+            options=tuple(sorted(options.items())),
             problem=problem,
         )
 

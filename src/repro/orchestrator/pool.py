@@ -12,6 +12,16 @@ the batch.  Per-job timeouts use ``SIGALRM`` (each worker process runs
 jobs on its own main thread); on platforms without ``SIGALRM`` the
 timeout degrades to unenforced rather than erroring.
 
+Warm workers: a pooled call checks out an idle pool of its width from
+this module, starting one only when none is idle, and hands it back when
+its batch ends, so later calls in the process run on the same worker
+processes.  A checked-out pool serves one caller at a time.  Each task
+carries its batch's trace ID.  A pool is replaced rather than reused
+when a worker died, when an array batch meets workers forked before the
+array engine was loaded, or when the registered problems, algorithms or
+graph families differ from the ones its workers forked with.  Idle
+workers end at interpreter exit or through :func:`shutdown_workers`.
+
 ``concurrent.futures`` (and with it ``multiprocessing``) is imported
 only when a call starts a pool, so serial runs (``workers=1``, the
 service's default ``job_workers=1``) never load it.  A pool that will
@@ -24,6 +34,7 @@ from __future__ import annotations
 
 import os
 import signal
+import sys
 import threading
 import time
 from contextlib import contextmanager
@@ -34,11 +45,13 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 from repro.obs import MetricsRegistry, NULL_REGISTRY
 from repro.sim.capabilities import require
 from repro.sim.errors import UnsupportedFeatureError
-from repro.telemetry.logs import current_trace_id, set_trace_id
+from repro.problems import PROBLEM_REGISTRY
+from repro.telemetry.logs import current_trace_id, reset_trace_id, set_trace_id
 
 from .cache import ResultCache
 from .jobs import JobSpec, execute_job
 from .progress import ProgressReporter
+from .registry import GRAPH_FAMILIES
 from .store import STATUS_OK, RunRecord, RunStore
 
 
@@ -125,41 +138,135 @@ def execute_with_policy(
 
 
 def _pool_worker(
-    payload: Tuple[Dict[str, Any], Optional[float], int]
+    payload: Tuple[Dict[str, Any], Optional[float], int, Optional[str]]
 ) -> Dict[str, Any]:
-    """Module-level (picklable) worker entry point."""
-    spec_dict, timeout, retries = payload
-    spec = JobSpec.from_dict(spec_dict)
-    return execute_with_policy(spec, timeout=timeout, retries=retries).to_dict()
+    """Module-level (picklable) worker entry point.
+
+    The task runs under its batch's trace ID, so every log line a worker
+    emits for it correlates back to the submission that caused it.
+    """
+    spec_dict, timeout, retries, trace_id = payload
+    token = set_trace_id(trace_id)
+    try:
+        spec = JobSpec.from_dict(spec_dict)
+        return execute_with_policy(spec, timeout=timeout, retries=retries).to_dict()
+    finally:
+        reset_trace_id(token)
 
 
-def _load_array_engine(specs: Sequence[JobSpec]) -> None:
+def _load_array_engine(specs: Sequence[JobSpec]) -> bool:
     """Import numpy and the array kernels if any of ``specs`` needs them.
 
-    Called before a pool starts.  Under the ``fork`` start method (the
-    Linux default before Python 3.14) workers inherit the parent's
+    Called before a pool is checked out.  Under the ``fork`` start method
+    (the Linux default before Python 3.14) workers inherit the parent's
     modules, so the import is paid once here rather than once per worker
-    on its first array cell.  Without numpy this does nothing, and each
-    array cell fails in its worker with the usual error.
+    on its first array cell.  Returns whether the batch needs workers
+    forked with the array engine loaded.  Without numpy this returns
+    ``False``, and each array cell fails in its worker with the usual
+    error.
     """
     if not any(dict(spec.options).get("engine") == "array" for spec in specs):
-        return
+        return False
     try:
         require("array")
     except UnsupportedFeatureError:
-        return
+        return False
     import repro.core.array_ops  # noqa: F401
 
+    return True
 
-def _worker_init(trace_id: Optional[str]) -> None:
-    """Pool initializer: seed the submission's trace ID into the worker.
 
-    Runs once per worker process, so every log line a worker emits (and
-    anything that reads ``current_trace_id()`` there) correlates back to
-    the submission that spawned the batch.
+def _registry_snapshot() -> Tuple[Any, ...]:
+    """The names a forked worker resolves specs against: every problem
+    bundle with its algorithm, diagnostic and alias tables, and the graph
+    families.  Functions compare by identity."""
+    return (
+        tuple(
+            (
+                bundle,
+                tuple(bundle.algorithms.items()),
+                tuple(bundle.diagnostic_algorithms.items()),
+                tuple(bundle.aliases.items()),
+            )
+            for bundle in PROBLEM_REGISTRY.values()
+        ),
+        tuple(GRAPH_FAMILIES.items()),
+    )
+
+
+@dataclass
+class _Workers:
+    """One process pool and what its workers inherited when they forked."""
+
+    executor: Any
+    width: int
+    registries: Tuple[Any, ...]
+    array_engine: bool
+
+
+#: Idle pools, most recently returned last.  A pool is in here only
+#: between batches.
+_idle: List[_Workers] = []
+_idle_lock = threading.Lock()
+
+
+def _checkout(width: int, needs_array: bool) -> _Workers:
+    """Take the idle pool of ``width`` workers returned last that can run
+    this batch, or start one; idle pools of that width that can never
+    serve it are shut down."""
+    registries = _registry_snapshot()
+    chosen: Optional[_Workers] = None
+    stale: List[_Workers] = []
+    with _idle_lock:
+        for workers in [entry for entry in _idle[::-1] if entry.width == width]:
+            # The executor's manager thread sets ``_broken`` when a worker
+            # dies, also while the pool sits idle.
+            if (
+                getattr(workers.executor, "_broken", False)
+                or workers.registries != registries
+                or (needs_array and not workers.array_engine)
+            ):
+                _idle.remove(workers)
+                stale.append(workers)
+            elif chosen is None:
+                _idle.remove(workers)
+                chosen = workers
+    for workers in stale:
+        workers.executor.shutdown(wait=True)
+    if chosen is not None:
+        return chosen
+    from concurrent.futures import ProcessPoolExecutor
+
+    return _Workers(
+        executor=ProcessPoolExecutor(max_workers=width),
+        width=width,
+        registries=registries,
+        array_engine="repro.core.array_ops" in sys.modules,
+    )
+
+
+def _checkin(workers: _Workers, reusable: bool) -> None:
+    """Hand a pool back after its batch, or shut it down."""
+    if reusable:
+        with _idle_lock:
+            _idle.append(workers)
+    else:
+        workers.executor.shutdown(wait=True, cancel_futures=True)
+
+
+def shutdown_workers() -> None:
+    """End every idle worker process and wait for them to exit.
+
+    Pools checked out by a running batch are not touched; they become
+    idle when their batch ends.  The next pooled :func:`run_jobs` call
+    starts fresh workers.  Idle workers also end when the interpreter
+    exits, so calling this is needed only to release them earlier.
     """
-    if trace_id is not None:
-        set_trace_id(trace_id)
+    with _idle_lock:
+        idle = list(_idle)
+        _idle.clear()
+    for workers in idle:
+        workers.executor.shutdown(wait=True)
 
 
 @dataclass
@@ -247,10 +354,10 @@ def run_jobs(
     jobs — and its flat dump lands in :attr:`BatchReport.metrics`.
 
     ``trace_id`` (default: the ambient :func:`current_trace_id`) is
-    stamped on every record's volatile ``telemetry`` block and seeded
-    into pool worker processes, correlating this batch's work with the
-    submission that caused it.  ``on_event`` receives lifecycle events
-    (``cell_dispatched`` / ``cell_finished`` / ``cell_retried`` /
+    stamped on every record's volatile ``telemetry`` block and carried by
+    every task sent to a worker process, correlating this batch's work
+    with the submission that caused it.  ``on_event`` receives lifecycle
+    events (``cell_dispatched`` / ``cell_finished`` / ``cell_retried`` /
     ``cell_crashed`` with a payload dict) — the service layer's flight
     recorder rides on it.  Neither affects the deterministic record
     content (``RunRecord.fingerprint``).
@@ -359,14 +466,14 @@ def run_jobs(
             _emit("cell_dispatched", {"key": spec.key, "label": spec.label()})
             _absorb(index, spec, execute_with_policy(spec, timeout, retries))
     elif pending:
-        from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+        from concurrent.futures import FIRST_COMPLETED, wait
 
-        _load_array_engine([spec for _, spec in pending])
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_worker_init,
-            initargs=(active_trace,),
-        ) as executor:
+        pool = _checkout(
+            workers, _load_array_engine([spec for _, spec in pending])
+        )
+        reusable = False
+        outstanding: set = set()
+        try:
             futures = {}
             for index, spec in pending:
                 _emit(
@@ -374,11 +481,13 @@ def run_jobs(
                     {"key": spec.key, "label": spec.label()},
                 )
                 futures[
-                    executor.submit(
-                        _pool_worker, (spec.to_dict(), timeout, retries)
+                    pool.executor.submit(
+                        _pool_worker,
+                        (spec.to_dict(), timeout, retries, active_trace),
                     )
                 ] = (index, spec)
             outstanding = set(futures)
+            reusable = True
             while outstanding:
                 done, outstanding = wait(outstanding, return_when=FIRST_COMPLETED)
                 for future in done:
@@ -388,12 +497,16 @@ def run_jobs(
                     except Exception as exc:
                         # The worker process itself died (not the job):
                         # still a structured failure, never a suite abort.
+                        reusable = False
                         record = RunRecord.failed(
                             spec,
                             f"worker crashed: {type(exc).__name__}: {exc}",
                             telemetry={"source": "executed"},
                         )
                     _absorb(index, spec, record)
+        finally:
+            # A batch cut short leaves work in flight: never reuse it.
+            _checkin(pool, reusable and not outstanding)
 
     report.records = [record for record in results if record is not None]
     report.elapsed_s = time.monotonic() - started

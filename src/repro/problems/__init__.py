@@ -8,6 +8,7 @@ the default — then ``mis``).  Drivers resolve a ``problem=`` axis through
 from .base import (
     DEFAULT_PROBLEM,
     PROBLEM_REGISTRY,
+    SIMULATOR_OPTIONS,
     AlgorithmRunner,
     ProblemBundle,
     problem_bundle,
@@ -34,6 +35,7 @@ __all__ = [
     "MST_BUNDLE",
     "PROBLEM_REGISTRY",
     "ProblemBundle",
+    "SIMULATOR_OPTIONS",
     "greedy_mis",
     "problem_bundle",
     "problem_names",

@@ -24,9 +24,30 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, FrozenSet, Iterable, Mapping, Optional, Tuple
 
 AlgorithmRunner = Callable[..., Any]
+
+#: Keyword options of :class:`repro.sim.SleepingSimulator` as a job spec
+#: names them.  ``faults`` is a spec's form of the simulator's ``channel``
+#: and ``monitors`` may be a monitor spec string (``run_cell`` builds
+#: both); the object-valued ``channel`` and ``obs_registry`` cannot enter
+#: a content-hashed spec.
+SIMULATOR_OPTIONS: FrozenSet[str] = frozenset(
+    {
+        "congest_universe",
+        "strict_congest",
+        "congest_factor",
+        "faults",
+        "trace",
+        "max_trace_events",
+        "observe",
+        "monitors",
+        "track_knowledge",
+        "max_rounds",
+        "max_awake_events",
+    }
+)
 
 #: The problem every pre-bundle driver implicitly meant.  ``JobSpec``
 #: payloads omit the ``problem`` key at this default, so MST-only specs
@@ -79,6 +100,20 @@ class ProblemBundle:
     awake_normalizer: Callable[[int], float] = lambda n: math.log2(max(2, n))
     #: Human name of the normalizer column in comparison tables.
     normalizer_label: str = "log2 n"
+    #: Canonical algorithm name (grid and diagnostic) -> the spec options
+    #: its runner accepts: its own keywords plus the simulator keywords it
+    #: forwards (:data:`SIMULATOR_OPTIONS`).  Every algorithm needs an
+    #: entry; :meth:`check_options` rejects any other option.
+    options: Mapping[str, FrozenSet[str]] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        undeclared = sorted(
+            {*self.algorithms, *self.diagnostic_algorithms} - set(self.options)
+        )
+        if undeclared:
+            raise ValueError(
+                f"problem {self.name!r} declares no options for {undeclared}"
+            )
 
     def resolve_algorithm(self, name: str) -> str:
         """Return the canonical name for ``name`` (alias or canonical).
@@ -97,6 +132,18 @@ class ProblemBundle:
                 f"choose from {choices} or aliases {sorted(self.aliases)}"
             )
         return canonical
+
+    def check_options(self, algorithm: str, options: Iterable[str]) -> None:
+        """Raise ``ValueError`` unless the runner of canonical ``algorithm``
+        accepts every name in ``options``."""
+        accepted = self.options[algorithm]
+        unknown = sorted(set(options) - accepted)
+        if unknown:
+            names = ", ".join(repr(name) for name in unknown)
+            raise ValueError(
+                f"unknown option{'s' if len(unknown) > 1 else ''} {names} "
+                f"for {algorithm}; accepted: {sorted(accepted)}"
+            )
 
     def runner(self, name: str) -> AlgorithmRunner:
         """Return the runner for ``name`` (canonical or alias)."""

@@ -4,7 +4,7 @@ import math
 
 from repro.invariants.monitors import PROBLEM_MONITORS
 
-from ..base import ProblemBundle, register_problem
+from ..base import SIMULATOR_OPTIONS, ProblemBundle, register_problem
 from .protocol import (
     MIS_PHASE_BLOCKS,
     MISNodeOutput,
@@ -53,6 +53,9 @@ MIS_BUNDLE = register_problem(
         ),
         awake_normalizer=lambda n: math.log2(max(2.0, math.log2(max(4, n)))),
         normalizer_label="log2 log2 n",
+        options={
+            "Sleeping-MIS": SIMULATOR_OPTIONS | {"max_phases", "verify", "engine"},
+        },
     )
 )
 

@@ -18,7 +18,7 @@ from repro.graphs import WeightedGraph, mst_weight_set
 from repro.invariants.monitors import PROBLEM_MONITORS
 from repro.sim.capabilities import require
 
-from .base import AlgorithmRunner, ProblemBundle, register_problem
+from .base import SIMULATOR_OPTIONS, AlgorithmRunner, ProblemBundle, register_problem
 
 
 def _run_randomized(graph: WeightedGraph, seed: int, **options: Any):
@@ -77,6 +77,24 @@ DIAGNOSTIC_ALGORITHMS: Dict[str, AlgorithmRunner] = {
     "Crashing-MST": _run_crashing,
 }
 
+#: Spec options of ``run_randomized_mst``, which Traditional-GHS and
+#: Crashing-MST take as well.
+RANDOMIZED_OPTIONS = SIMULATOR_OPTIONS | {
+    "termination", "max_phases", "verify", "engine",
+}
+#: ``run_deterministic_mst`` adds the colouring subroutine.
+DETERMINISTIC_OPTIONS = RANDOMIZED_OPTIONS | {"coloring"}
+
+#: The spec options each runner accepts.
+OPTIONS = {
+    "Randomized-MST": RANDOMIZED_OPTIONS,
+    "Deterministic-MST": DETERMINISTIC_OPTIONS,
+    "LogStar-MST": DETERMINISTIC_OPTIONS,
+    "Traditional-GHS": RANDOMIZED_OPTIONS,
+    "Pipelined-GHS": SIMULATOR_OPTIONS | {"engine", "termination"},
+    "Crashing-MST": RANDOMIZED_OPTIONS,
+}
+
 #: Lowercase CLI-style aliases for the canonical algorithm names.
 ALGORITHM_ALIASES: Dict[str, str] = {
     "randomized": "Randomized-MST",
@@ -111,5 +129,6 @@ MST_BUNDLE = register_problem(
         ),
         awake_normalizer=lambda n: math.log2(max(2, n)),
         normalizer_label="log2 n",
+        options=OPTIONS,
     )
 )

@@ -43,6 +43,7 @@ from repro.orchestrator import (
     grid_from_payload,
     grid_key,
     run_jobs,
+    shutdown_workers,
 )
 from repro.telemetry import (
     DEFAULT_MAX_EVENTS,
@@ -185,7 +186,10 @@ class JobQueue:
     process-pool width.  With ``job_workers=1`` cells run serially on
     the drainer thread itself (note: ``SIGALRM`` timeouts need a main
     thread, so per-cell timeouts are only enforced for
-    ``job_workers > 1``, where cells run on worker processes).
+    ``job_workers > 1``, where cells run on worker processes).  With
+    ``job_workers > 1`` the worker processes persist across jobs: each
+    drainer checks out an idle pool for its job and hands it back
+    afterwards, and :meth:`shutdown` ends the idle ones.
     """
 
     def __init__(
@@ -233,11 +237,13 @@ class JobQueue:
         return self
 
     def shutdown(self, timeout_s: float = 10.0) -> None:
-        """Stop accepting work and join the drainers.
+        """Stop accepting work, join the drainers and end idle workers.
 
         Queued-but-unstarted jobs stay in their stores' hands: nothing
         is lost, a restarted daemon re-running the same grid resumes
-        from the per-job store and the shared cache.
+        from the per-job store and the shared cache.  Idle pool workers
+        end through :func:`repro.orchestrator.shutdown_workers`, which
+        acts on the whole process.
         """
         with self._cond:
             self._stopping = True
@@ -245,6 +251,7 @@ class JobQueue:
         deadline = time.monotonic() + timeout_s
         for thread in self._threads:
             thread.join(max(0.0, deadline - time.monotonic()))
+        shutdown_workers()
 
     # -- submission and inspection -------------------------------------
 

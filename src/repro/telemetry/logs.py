@@ -4,8 +4,8 @@ A **trace ID** is a 16-hex-char token minted once per submission — at
 ``POST /jobs``, or by the ``batch``/``run`` CLI — and carried through
 every layer the submission touches via a :mod:`contextvars` variable.
 Whatever logs while the context is active (the HTTP access logger, the
-queue, ``run_jobs``, a worker process seeded through the pool
-initializer) stamps the same ID on its lines, so one ``grep`` (or one
+queue, ``run_jobs``, a pool worker running one of the batch's tasks)
+stamps the same ID on its lines, so one ``grep`` (or one
 ``jq 'select(.trace_id == ...)'``) reconstructs a submission's whole
 journey across threads and processes.
 

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import os
+import time
+
 import pytest
 from hypothesis import HealthCheck, settings
 
@@ -47,6 +50,27 @@ def small_tree():
 @pytest.fixture
 def small_random_graph():
     return random_connected_graph(16, extra_edge_prob=0.2, seed=5)
+
+
+@pytest.fixture
+def survivors():
+    """``survivors(pids)``: the PIDs among ``pids`` still alive after up to
+    ``wait_s`` seconds (a reaped process is gone; a zombie is not)."""
+
+    def check(pids, wait_s=5.0):
+        alive = set(pids)
+        deadline = time.monotonic() + wait_s
+        while alive and time.monotonic() < deadline:
+            for pid in list(alive):
+                try:
+                    os.kill(pid, 0)
+                except ProcessLookupError:
+                    alive.discard(pid)
+            if alive:
+                time.sleep(0.02)
+        return alive
+
+    return check
 
 
 def pytest_addoption(parser):

@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -115,6 +119,24 @@ class TestBatchCLI:
         assert code == 2
         assert "unknown algorithm" in capsys.readouterr().err
 
+    def test_unknown_option_is_a_usage_error(self, tmp_path, capsys):
+        spec_file = tmp_path / "grid.json"
+        spec_file.write_text(
+            json.dumps(
+                {"algorithms": ["randomized"], "families": ["ring"],
+                 "sizes": [8], "options": {"coloring": "log-star"}}
+            )
+        )
+        code = main(
+            ["batch", "--spec", str(spec_file), "--quiet",
+             "--store", str(tmp_path / "x.jsonl"), "--no-cache"]
+        )
+        assert code == 2
+        assert "unknown option 'coloring' for Randomized-MST" in (
+            capsys.readouterr().err
+        )
+        assert not (tmp_path / "x.jsonl").exists()
+
     @pytest.mark.parametrize("command", ["batch", "submit"])
     def test_missing_spec_file_is_a_usage_error(
         self, command, tmp_path, capsys
@@ -171,3 +193,44 @@ class TestSummaryDedupeCounts:
         payload = json.loads(capsys.readouterr().out)["summary"]
         assert payload["resumed"] == 8
         assert payload["executed"] == 0
+
+
+class TestSmokeGrid:
+    """Two ``python -m repro.cli batch --workers 2`` processes on one cache.
+
+    The first executes the grid on a pool and fails nothing; the second
+    is served entirely from the cache.  Each exits 0 within a bound and
+    leaves no worker process behind.
+    """
+
+    GRID = [
+        "--algorithms", "randomized", "traditional", "--families", "ring", "gnp",
+        "--sizes", "8", "16", "--seeds", "2", "--workers", "2",
+    ]
+
+    def _batch(self, tmp_path, store):
+        env = dict(os.environ)
+        src = Path(__file__).resolve().parents[2] / "src"
+        env["PYTHONPATH"] = str(src) + os.pathsep + env.get("PYTHONPATH", "")
+        completed = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "batch", *self.GRID,
+             "--store", str(tmp_path / store),
+             "--cache-dir", str(tmp_path / "cache"), "--json"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert completed.returncode == 0, completed.stderr
+        return json.loads(completed.stdout)
+
+    def test_second_run_is_fully_cached_and_no_worker_outlives_a_run(
+        self, tmp_path, survivors
+    ):
+        first = self._batch(tmp_path, "first.jsonl")
+        assert first["summary"]["failed"] == 0
+        assert first["summary"]["executed"] == first["summary"]["total"] == 16
+        workers = {record["telemetry"]["pid"] for record in first["records"]}
+        assert workers and not survivors(workers)
+
+        second = self._batch(tmp_path, "second.jsonl")
+        summary = second["summary"]
+        assert summary["failed"] == 0
+        assert summary["cached"] == summary["total"] == 16

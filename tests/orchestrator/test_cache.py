@@ -62,3 +62,38 @@ class TestResultCache:
             cache.path_for(record.key).read_text(), encoding="utf-8"
         )
         assert cache.get(other.key) is None
+
+
+def test_entry_bytes_are_pinned(tmp_path):
+    """One encoder call writes the same bytes the streaming encoder did."""
+    spec = JobSpec.create(
+        "randomized", "gnp", 16, 3,
+        options={"faults": "drop:0.05", "monitors": "all"},
+    )
+    record = RunRecord.ok(
+        spec,
+        {
+            "algorithm": "Randomized-MST",
+            "n": 16,
+            "mean_awake": 3.125,
+            "crashed_nodes": [4, 9],
+            "fault_counters": {
+                "dropped": 2, "delayed": 0, "ratio": 0.5, "note": "é–x"
+            },
+            "correct": True,
+            "error": None,
+        },
+        telemetry={"elapsed_s": 1.23, "pid": 999},
+    )
+    cache = ResultCache(tmp_path, version="pin")
+    assert cache.put(record)
+    assert cache.path_for(record.key).read_bytes() == (
+        b'{"key": "84f5345f37e2c4a5a73cde9575303f5396fcc686e83c85271d4980c4619824b6",'
+        b' "metrics": {"algorithm": "Randomized-MST", "correct": true,'
+        b' "crashed_nodes": [4, 9], "error": null, "fault_counters":'
+        b' {"delayed": 0, "dropped": 2, "note": "\\u00e9\\u2013x", "ratio": 0.5},'
+        b' "mean_awake": 3.125, "n": 16}, "schema": 1, "spec": {"algorithm":'
+        b' "Randomized-MST", "family": "gnp", "id_range": null, "n": 16,'
+        b' "options": {"faults": "drop:0.05", "monitors": "all"}, "seed": 3},'
+        b' "status": "ok", "telemetry": {}}'
+    )

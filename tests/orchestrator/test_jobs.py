@@ -185,3 +185,86 @@ class TestGridFromPayload:
         assert "faults" not in options[0]  # perfect channel stays hash-stable
         assert options[1]["faults"] == "drop:0.05"
         assert all("monitors" in opts for opts in options)
+
+
+class TestSpecOptions:
+    """A spec carries only options its algorithm's runner accepts."""
+
+    BASE = {"families": ["gnp"], "sizes": [16], "seeds": [1]}
+
+    @pytest.mark.parametrize(
+        "payload, option, algorithm",
+        [
+            (
+                {"algorithms": ["mis"], "problem": "mis",
+                 "options": {"termination": "fixed"}},
+                "termination",
+                "Sleeping-MIS",
+            ),
+            (
+                {"algorithms": ["randomized"],
+                 "options": {"coloring": "log-star"}},
+                "coloring",
+                "Randomized-MST",
+            ),
+            ({"algorithms": ["randomized"], "options": {"bogus": 1}},
+             "bogus", "Randomized-MST"),
+        ],
+    )
+    def test_unknown_option_rejected_at_expansion(self, payload, option, algorithm):
+        with pytest.raises(ValueError) as excinfo:
+            grid_from_payload({**self.BASE, **payload})
+        message = str(excinfo.value)
+        assert f"unknown option {option!r} for {algorithm}" in message
+        # The accepted set is named too.
+        assert "accepted: [" in message and "'max_phases'" in message
+
+    def test_every_unknown_option_is_named(self):
+        with pytest.raises(ValueError, match="unknown options 'a', 'b' for"):
+            JobSpec.create("randomized", "ring", 8, 0, options={"b": 1, "a": 2})
+
+    @pytest.mark.parametrize(
+        "algorithm, problem, options",
+        [
+            ("randomized", None, {"termination": "fixed"}),
+            ("deterministic", None, {"coloring": "log-star"}),
+            ("logstar", None, {"verify": True}),
+            ("traditional", None, {"max_phases": 20}),
+            ("pipelined", None, {"termination": "adaptive"}),
+            ("mis", "mis", {"max_phases": 2}),
+            ("randomized", None, {"strict_congest": False}),
+        ],
+    )
+    def test_accepted_option_runs(self, algorithm, problem, options):
+        spec = JobSpec.create(
+            algorithm, "gnp", 12, 1, options=options, problem=problem
+        )
+        assert execute_job(spec)["correct"] is True
+
+    def test_simulator_options_match_the_simulator(self):
+        import inspect
+
+        from repro.problems import SIMULATOR_OPTIONS
+        from repro.sim import SleepingSimulator
+
+        keywords = {
+            name
+            for name, parameter in inspect.signature(
+                SleepingSimulator.__init__
+            ).parameters.items()
+            if parameter.kind is parameter.KEYWORD_ONLY
+        }
+        assert SIMULATOR_OPTIONS == (
+            keywords - {"seed", "channel", "obs_registry"}
+        ) | {"faults"}
+
+    def test_a_bundle_declares_every_algorithms_options(self):
+        from repro.problems import ProblemBundle
+
+        with pytest.raises(ValueError, match=r"declares no options for \['B'\]"):
+            ProblemBundle(
+                name="undeclared", title="t", description="d",
+                algorithms={"A": print, "B": print}, aliases={},
+                default_algorithm="A", check_label="c", awake_bound="O(1)",
+                options={"A": frozenset()},
+            )

@@ -151,3 +151,35 @@ class TestServeDaemon:
             finally:
                 process.terminate()
                 process.wait(timeout=15)
+
+    def test_sigterm_ends_the_warm_workers(self, tmp_path, survivors):
+        """A daemon stopped with SIGTERM drains like Ctrl-C: it exits 0
+        and its idle pool workers end with it."""
+        env = dict(os.environ)
+        src = os.path.join(os.getcwd(), "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        with subprocess.Popen(
+            [
+                sys.executable, "-m", "repro.cli", "serve", "--port", "0",
+                "--root", str(tmp_path / "svc"), "--job-workers", "2", "--quiet",
+            ],
+            env=env,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.STDOUT,
+            text=True,
+        ) as process:
+            try:
+                url = re.search(r"http://[\d.]+:\d+", process.stdout.readline())
+                with ServiceClient(url.group(0)) as client:
+                    client.wait_until_up(timeout_s=30)
+                    job = client.submit(
+                        {"algorithms": ["randomized"], "families": ["ring"],
+                         "sizes": [8], "seeds": 4}
+                    )["job"]
+                    assert client.wait(job, timeout_s=120)["status"] == "done"
+                    records = client.fetch(job)["records"]
+            finally:
+                process.terminate()
+                code = process.wait(timeout=15)
+        assert code == 0
+        assert not survivors({record["telemetry"]["pid"] for record in records})

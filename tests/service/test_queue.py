@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import multiprocessing
 import threading
 
 import pytest
@@ -46,6 +47,23 @@ class TestLifecycle:
         assert all(r["status"] == "ok" for r in result["records"])
         # The job journals to its own per-job store.
         assert len(RunStore(job.store_path).load()) == 2
+
+    def test_pooled_jobs_share_workers_until_shutdown(self, tmp_path, survivors):
+        queue = JobQueue(tmp_path / "service", job_workers=2).start()
+        try:
+            live = []
+            for seeds in ([0, 1], [2, 3]):
+                job, _ = _run(queue, dict(RING_GRID, seeds=seeds))
+                assert job.status == JOB_DONE
+                records = queue.result(job.job_id)["records"]
+                live.append({child.pid for child in multiprocessing.active_children()})
+                assert {r["telemetry"]["pid"] for r in records} <= live[-1]
+            # The second job started no process.
+            assert live[1] == live[0]
+        finally:
+            queue.shutdown()
+        assert multiprocessing.active_children() == []
+        assert not survivors(live[0])
 
     def test_submit_is_non_blocking(self, tmp_path):
         # Queue never started: submission must return immediately with a

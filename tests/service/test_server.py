@@ -158,6 +158,15 @@ class TestErrors:
         assert excinfo.value.status == 400
         assert "bogus" in str(excinfo.value)
 
+    def test_unknown_option_400(self, client):
+        with pytest.raises(ServiceError) as excinfo:
+            client.submit(
+                {"algorithms": ["mis"], "problem": "mis", "families": ["ring"],
+                 "sizes": [8], "options": {"termination": "fixed"}}
+            )
+        assert excinfo.value.status == 400
+        assert "unknown option 'termination' for Sleeping-MIS" in str(excinfo.value)
+
     def test_malformed_json_400(self, service):
         host, port = service.server_address[:2]
         connection = http.client.HTTPConnection(host, port, timeout=10)
