@@ -1,78 +1,12 @@
 """Command-line interface: ``python -m repro.cli`` (or ``repro-mst``).
 
-Subcommands
------------
-``run``
-    Run one algorithm on a generated graph and print the metrics the paper
-    is about (awake complexity, round complexity, their product,
-    correctness).  ``--json`` emits one machine-readable object instead.
-    ``run``, ``check`` and ``trace`` share one set of cell flags: they
-    turn them into a :class:`~repro.orchestrator.JobSpec`, execute it
-    with :func:`~repro.orchestrator.run_cell` (the path every grid cell
-    takes), and render the cell.
-``batch``
-    Run an (algorithm × family × n × seed) grid through the orchestrator:
-    worker-pool parallelism (``--workers``), a content-addressed result
-    cache (re-running a grid only executes new cells), an append-only
-    JSONL run store, and ``--resume`` to finish an interrupted grid.
-``campaign``
-    Run a declarative campaign spec (:mod:`repro.campaigns`): dense
-    grids, adaptive drivers (bisection crossover search, fault-rate
-    threshold scan), and statistical fits with bootstrap bands, all
-    into one resumable ledger and a byte-reproducible
-    ``repro-campaign/1`` report.  ``campaign resume`` finishes an
-    interrupted run; ``campaign report`` rebuilds the report from the
-    ledger without running anything.
-``serve``
-    Run the simulation service daemon: a stdlib HTTP job API
-    (``POST /jobs`` / ``GET /jobs/<hash>`` / ``/result`` / ``/healthz``
-    / ``/stats``) over a persistent worker pool that drains grid
-    submissions through the orchestrator.  Identical submissions are
-    coalesced onto one run; overlapping grids share cells via the
-    result cache.
-``submit``
-    Submit a grid (same axes as ``batch``) to a running daemon; with
-    ``--wait`` streams progress lines and prints the fetched result.
-``trace``
-    Run one algorithm with span observability enabled, export a Chrome
-    trace-event JSON (open in Perfetto or chrome://tracing), and print
-    the per-phase × per-block awake breakdown — the paper's "9 blocks ×
-    O(1) awake rounds" decomposition, measured.
-``check``
-    Run one algorithm with the paper's invariant monitors attached
-    (:mod:`repro.invariants`) and report which lemma-level invariants
-    held; with ``--faults`` the report names the *first* invariant the
-    injected faults broke.  Monitored grids run as ``batch --monitors``
-    or as campaign grids (``examples/campaigns/ci.toml``).
-``experiments``
-    Run the non-grid paper experiments (:mod:`repro.analysis.experiments`)
-    and print them as JSON; the committed ``EXPERIMENTS.json`` is this
-    output.  Table 1 is the campaign ``examples/campaigns/table1.toml``;
-    ``--only fig2_5`` is the Figures 2-5 merging walk-through (printed
-    in full by ``examples/merging_walkthrough.py``).
-
-Examples::
-
-    python -m repro.cli run --algorithm randomized --graph ring --n 64
-    python -m repro.cli run --problem mis --n 64 --monitors all
-    python -m repro.cli check --algorithm randomized --n 24 \
-        --faults drop:0.02 --json
-    python -m repro.cli trace --algorithm randomized --n 64 \
-        --output trace.json
-    python -m repro.cli run --algorithm logstar --graph gnp --n 32 \
-        --id-range 512
-    python -m repro.cli batch --algorithms randomized deterministic \
-        --families ring gnp --sizes 16 32 --seeds 3 --workers 4
-    python -m repro.cli campaign run examples/campaigns/crossover.toml \
-        --workers 4
-    python -m repro.cli campaign run examples/campaigns/compare.toml \
-        --output PROBLEMS_compare.json
-    python -m repro.cli campaign run examples/campaigns/table1.toml \
-        --output CAMPAIGN_table1.json
-    python -m repro.cli experiments > EXPERIMENTS.json
-    python -m repro.cli serve --port 8732 --root /tmp/repro-service
-    python -m repro.cli submit --url http://127.0.0.1:8732 \
-        --families ring --sizes 16 --seeds 3 --wait
+``--help`` lists the subcommands; each one's ``--help`` lists its flags.
+``run``, ``check`` and ``trace`` turn their flags into one
+:class:`~repro.orchestrator.JobSpec`, execute it with
+:func:`~repro.orchestrator.run_cell` (the path every grid cell takes) and
+render the cell.  ``batch`` and ``submit`` name a grid in the schema of
+:data:`~repro.orchestrator.GRID_PAYLOAD_KEYS`, from flags or a ``--spec``
+file; ``campaign`` runs the named grids under ``examples/campaigns/``.
 """
 
 from __future__ import annotations
@@ -83,7 +17,12 @@ import math
 import sys
 from typing import Any, Optional, Sequence
 
-from repro.orchestrator import ALGORITHM_ALIASES, ALGORITHMS, GRAPH_FAMILIES
+from repro.orchestrator import (
+    ALGORITHM_ALIASES,
+    ALGORITHMS,
+    GRAPH_FAMILIES,
+    GRID_PAYLOAD_KEYS,
+)
 from repro.sim.errors import UnsupportedFeatureError
 
 #: The ``--algorithm`` menu of ``run``, ``check`` and ``trace``: the
@@ -169,20 +108,38 @@ def _diagnosis_extras(diagnosis, monitor_set) -> dict:
     return extras
 
 
+#: The diagnosis lines of the cell commands: payload key -> label, in the
+#: order they print.  A ``violations`` line follows them.
+_DIAGNOSIS_LABELS = {
+    "faults": "faults",
+    "outcome": "outcome",
+    "error": "error",
+    "fault_counters": "fault counters",
+    "missing_nodes": "missing outputs",
+    "crashed_nodes": "crashed nodes",
+    "checks_run": "checks run",
+}
+
+
+def _print_diagnosis(payload: dict) -> None:
+    """Print one line per :data:`_DIAGNOSIS_LABELS` key of ``payload``
+    that is neither ``None`` nor empty, then its ``violations`` count
+    with the first invariant broken, if it has one."""
+    for key, label in _DIAGNOSIS_LABELS.items():
+        value = payload.get(key)
+        if value is not None and value != []:
+            print(f"{label:<17}: {value}")
+    if "violations" in payload:
+        first = payload["first_invariant"] or "-"
+        print(f"violations       : {payload['violations']} (first: {first})")
+
+
 def _print_failure(payload: dict, as_json: bool) -> int:
     """Report a diagnosed run that crashed or hung; its exit code is 1."""
     if as_json:
         print(json.dumps(payload, sort_keys=True))
-        return 1
-    for key in ("faults", "outcome", "error"):
-        print(f"{key:<17}: {payload[key]}")
-    if "missing_nodes" in payload:
-        print(f"missing outputs  : {payload['missing_nodes']}")
-    if "crashed_nodes" in payload:
-        print(f"crashed nodes    : {payload['crashed_nodes']}")
-    if "first_invariant" in payload:
-        first = payload["first_invariant"] or "-"
-        print(f"violations       : {payload['violations']} (first: {first})")
+    else:
+        _print_diagnosis(payload)
     return 1
 
 
@@ -242,15 +199,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"trace            : {trace_events} events -> {args.save_trace}")
     print(f"algorithm        : {result.algorithm}")
     if faults is not None:
-        print(f"faults           : {faults}")
-        print(f"outcome          : {diagnosis.outcome}")
-        fault_counts = metrics.fault_summary()
-        print(
-            "fault counters   : "
-            + " ".join(f"{key}={value}" for key, value in fault_counts.items())
-        )
-        if diagnosis.crashed_nodes:
-            print(f"crashed nodes    : {list(diagnosis.crashed_nodes)}")
+        counters = metrics.fault_summary().items()
+        _print_diagnosis({
+            "faults": faults,
+            "outcome": diagnosis.outcome,
+            "fault_counters": " ".join(f"{key}={value}" for key, value in counters),
+            "crashed_nodes": list(diagnosis.crashed_nodes),
+        })
     print(f"graph            : {cell.spec.family} n={graph.n} m={graph.m} "
           f"N={graph.max_id}")
     print(f"phases           : {result.phases}")
@@ -401,18 +356,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
             f"N={graph.max_id} seed={spec.seed}"
         )
         print(f"monitors         : {','.join(monitor_set.names)}")
-        if faults is not None:
-            print(f"faults           : {faults}")
-        print(f"outcome          : {diagnosis.outcome}")
-        if diagnosis.error:
-            print(f"error            : {diagnosis.error}")
-        if diagnosis.missing_nodes:
-            print(f"missing outputs  : {list(diagnosis.missing_nodes)}")
-        if diagnosis.crashed_nodes:
-            print(f"crashed nodes    : {list(diagnosis.crashed_nodes)}")
-        print(f"checks run       : {report.checks_run}")
-        first = report.first_invariant or "-"
-        print(f"violations       : {len(report)} (first: {first})")
+        _print_diagnosis(payload)
         for violation in report.violations[:10]:
             print(f"  VIOLATION {violation}")
         if report.incomplete_groups:
@@ -428,33 +372,23 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _grid_payload(args: argparse.Namespace) -> dict:
-    """Grid payload shared by ``batch`` and ``submit`` (and ``--spec``).
-
-    The returned dict is the same JSON schema a ``--spec`` file and the
-    service's ``POST /jobs`` body use, so a grid is expressible
-    identically from flags, a file, or over HTTP.  Raises ``ValueError``
-    on unknown spec-file keys.
+    """The grid ``batch`` or ``submit`` names: the grid flags (each named
+    after its key of :data:`~repro.orchestrator.GRID_PAYLOAD_KEYS`),
+    overridden by the keys of a ``--spec`` file.  It is the schema of the
+    service's ``POST /jobs`` body too; ``grid_from_payload`` checks it.
     """
-    grid = {
-        "algorithms": args.algorithms,
-        "families": args.families,
-        "sizes": args.sizes,
-        "seeds": args.seeds,
-        "id_range_factor": args.id_range_factor,
-        "options": {},
-        "faults": args.faults,
-        "monitors": args.monitors,
-        "engine": getattr(args, "engine", None),
-        "problem": getattr(args, "problem", None),
-    }
+    grid = {key: value for key, value in vars(args).items() if key in GRID_PAYLOAD_KEYS}
     if args.spec:
         with open(args.spec, "r", encoding="utf-8") as handle:
-            loaded = json.load(handle)
-        unknown = set(loaded) - set(grid)
-        if unknown:
-            raise ValueError(f"unknown spec keys: {sorted(unknown)}")
-        grid.update(loaded)
+            grid.update(json.load(handle))
     return grid
+
+
+def _print_counts(summary: dict) -> None:
+    """The ``executed``/``cached``/``resumed``/``failed`` lines of a batch
+    summary, as ``batch`` and ``submit --wait`` print them."""
+    for key in ("executed", "cached", "resumed", "failed"):
+        print(f"{key:<10}: {summary.get(key, 0)}")
 
 
 def _cmd_batch(args: argparse.Namespace) -> int:
@@ -484,7 +418,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     registry = MetricsRegistry()
     # One trace ID per batch invocation: every record's telemetry block,
     # worker log line, and span export from this run carries it.
-    with trace_context() as trace_id:
+    with trace_context():
         report = run_jobs(
             specs,
             workers=args.workers,
@@ -495,7 +429,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
             retries=args.retries,
             progress=progress,
             registry=registry,
-            trace_id=trace_id,
         )
 
     if args.json:
@@ -511,10 +444,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         )
     else:
         print(f"grid      : {report.total} jobs -> {store_path}")
-        print(f"executed  : {report.executed}")
-        print(f"cached    : {report.cached}")
-        print(f"resumed   : {report.resumed}")
-        print(f"failed    : {report.failed}")
+        _print_counts(report.summary())
         throughput = (report.progress or {}).get("throughput_jobs_per_s", 0.0)
         print(f"elapsed   : {report.elapsed_s:.2f}s ({throughput:.1f} job/s)")
         for failure in report.failures()[:5]:
@@ -631,9 +561,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         timeout=args.timeout,
         retries=args.retries,
     ).start()
-    server = build_server(
-        queue, host=args.host, port=args.port, quiet=args.quiet
-    )
+    server = build_server(queue, host=args.host, port=args.port)
     host, port = server.server_address[:2]
     # One parseable line so scripts (and CI) can discover an ephemeral port.
     print(
@@ -733,10 +661,7 @@ def _submit(client: Any, grid: dict, args: argparse.Namespace) -> int:
         if result.get("error"):
             print(f"error     : {result['error']}")
         print(f"total     : {summary.get('total', 0)}")
-        print(f"executed  : {summary.get('executed', 0)}")
-        print(f"cached    : {summary.get('cached', 0)}")
-        print(f"resumed   : {summary.get('resumed', 0)}")
-        print(f"failed    : {summary.get('failed', 0)}")
+        _print_counts(summary)
     ok = result["status"] == "done" and summary.get("failed", 0) == 0
     return 0 if ok else 1
 
@@ -790,21 +715,14 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                 f"{benchmark.name:<28}: median {timing.median_s * 1000:9.2f} ms"
                 f"  iqr {timing.iqr_s * 1000:7.2f} ms  ({benchmark.tier})"
             )
-        comparison_block = None
+        payload = build_payload("engine", results, environment_fingerprint())
         if args.compare_ref:
-            reference = load_bench_json(args.compare_ref)
-            comparison_block = make_baseline_comparison(
-                build_payload(args.suite_name, results, {}),
-                reference,
+            payload["baseline_comparison"] = make_baseline_comparison(
+                payload,
+                load_bench_json(args.compare_ref),
                 label=args.compare_label or str(args.compare_ref),
                 headline=HEADLINE_BENCHMARK,
             )
-        payload = build_payload(
-            args.suite_name,
-            results,
-            environment_fingerprint(),
-            baseline_comparison=comparison_block,
-        )
 
     if args.output:
         write_bench_json(args.output, payload)
@@ -939,6 +857,45 @@ def _add_grid_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_cell_policy_arguments(
+    parser: argparse.ArgumentParser, cache_dir: Optional[str]
+) -> None:
+    """How each cell of a grid runs: the result cache, the per-job time
+    budget and retries (``batch``, ``campaign`` and ``serve``)."""
+    parser.add_argument(
+        "--cache-dir", default=cache_dir, metavar="PATH",
+        help="content-addressed result cache directory (default: "
+        f"{cache_dir or '<root>/cache'})",
+    )
+    parser.add_argument(
+        "--no-cache", action="store_true", help="disable the result cache"
+    )
+    parser.add_argument(
+        "--timeout", type=float, default=None, help="per-job seconds budget"
+    )
+    parser.add_argument(
+        "--retries", type=int, default=0, help="retries per failed job"
+    )
+
+
+def _add_grid_run_arguments(parser: argparse.ArgumentParser) -> None:
+    """Flags of the commands that run grids in this process: ``batch``
+    and ``campaign``."""
+    parser.add_argument(
+        "--workers", type=int, default=1,
+        help="worker processes (default 1: cells run in this process)",
+    )
+    _add_cell_policy_arguments(parser, cache_dir=".repro-cache")
+    parser.add_argument(
+        "--json", action="store_true",
+        help="emit the result (batch: summary and records; campaign: the "
+        "report) as one JSON object",
+    )
+    parser.add_argument(
+        "--quiet", action="store_true", help="suppress progress lines on stderr"
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-mst",
@@ -989,7 +946,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run a job grid through the orchestrator (pool + cache + store)",
     )
     _add_grid_arguments(batch_parser)
-    batch_parser.add_argument("--workers", type=int, default=1)
+    _add_grid_run_arguments(batch_parser)
     batch_parser.add_argument(
         "--store", default=None, metavar="PATH",
         help="JSONL run store (default: batch-<gridhash>.jsonl)",
@@ -997,26 +954,6 @@ def build_parser() -> argparse.ArgumentParser:
     batch_parser.add_argument(
         "--resume", default=None, metavar="PATH",
         help="resume from an existing store: execute only failed/missing cells",
-    )
-    batch_parser.add_argument(
-        "--cache-dir", default=".repro-cache",
-        help="content-addressed result cache directory",
-    )
-    batch_parser.add_argument(
-        "--no-cache", action="store_true", help="disable the result cache"
-    )
-    batch_parser.add_argument(
-        "--timeout", type=float, default=None, help="per-job seconds budget"
-    )
-    batch_parser.add_argument(
-        "--retries", type=int, default=0, help="retries per failed job"
-    )
-    batch_parser.add_argument(
-        "--json", action="store_true",
-        help="emit the summary and all records as one JSON object",
-    )
-    batch_parser.add_argument(
-        "--quiet", action="store_true", help="suppress progress lines on stderr"
     )
     batch_parser.set_defaults(func=_cmd_batch)
 
@@ -1040,20 +977,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="campaign state directory: ledger at <root>/<name>/runs.jsonl, "
         "report at <root>/<name>/report.json",
     )
-    campaign_parser.add_argument("--workers", type=int, default=1)
-    campaign_parser.add_argument(
-        "--cache-dir", default=".repro-cache",
-        help="content-addressed result cache shared with 'batch'",
-    )
-    campaign_parser.add_argument(
-        "--no-cache", action="store_true", help="disable the result cache"
-    )
-    campaign_parser.add_argument(
-        "--timeout", type=float, default=None, help="per-job seconds budget"
-    )
-    campaign_parser.add_argument(
-        "--retries", type=int, default=0, help="retries per failed job"
-    )
+    _add_grid_run_arguments(campaign_parser)
     campaign_parser.add_argument(
         "--via-service", default=None, metavar="URL",
         help="execute grids through a running 'serve' daemon instead of "
@@ -1062,14 +986,6 @@ def build_parser() -> argparse.ArgumentParser:
     campaign_parser.add_argument(
         "--output", default=None, metavar="PATH",
         help="write the report here instead of <root>/<name>/report.json",
-    )
-    campaign_parser.add_argument(
-        "--json", action="store_true",
-        help="emit the full report payload as one JSON object",
-    )
-    campaign_parser.add_argument(
-        "--quiet", action="store_true",
-        help="suppress per-grid progress lines on stderr",
     )
     campaign_parser.set_defaults(func=_cmd_campaign)
 
@@ -1095,19 +1011,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--job-workers", type=int, default=1,
         help="process-pool width inside each job (run_jobs workers)",
     )
-    serve_parser.add_argument(
-        "--cache-dir", default=None, metavar="PATH",
-        help="result cache directory (default: <root>/cache)",
-    )
-    serve_parser.add_argument(
-        "--no-cache", action="store_true", help="disable the result cache"
-    )
-    serve_parser.add_argument(
-        "--timeout", type=float, default=None, help="per-job seconds budget"
-    )
-    serve_parser.add_argument(
-        "--retries", type=int, default=0, help="retries per failed job"
-    )
+    _add_cell_policy_arguments(serve_parser, cache_dir=None)
     serve_parser.add_argument(
         "--quiet", action="store_true", help="suppress per-request log lines"
     )
@@ -1225,10 +1129,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench_parser.add_argument(
         "--output", default=None, metavar="PATH",
         help="write results as BENCH JSON (schema repro-bench/1)",
-    )
-    bench_parser.add_argument(
-        "--suite-name", default="engine",
-        help="suite label stamped into the JSON (default: engine)",
     )
     bench_parser.add_argument(
         "--input", default=None, metavar="PATH",

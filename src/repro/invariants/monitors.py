@@ -327,9 +327,9 @@ MONITOR_REGISTRY: Dict[str, type] = {
 #: goes through :data:`PROBLEM_MONITORS` instead.
 MONITOR_NAMES: Tuple[str, ...] = tuple(MONITOR_REGISTRY)[:8]
 
-#: What ``--monitors all`` expands to, per problem.  Mirrored by each
-#: :class:`repro.problems.ProblemBundle.monitors`; kept here (not in the
-#: bundles) so :mod:`repro.invariants` stays import-independent of
+#: What ``--monitors all`` expands to, per problem: the one home of that
+#: decision.  It lives here (not in the problem bundles) so
+#: :mod:`repro.invariants` stays import-independent of
 #: :mod:`repro.problems`.
 PROBLEM_MONITORS: Dict[str, Tuple[str, ...]] = {
     "mst": MONITOR_NAMES,

@@ -16,10 +16,15 @@ Design constraints:
   of the same workload, convenient for JSON output and assertions.
 * **Bounded label cardinality is the caller's job.**  Labels are intended
   for small enums (status, algorithm), never per-node or per-round values.
+* **Thread-safe.**  A registry and its instruments share one lock: every
+  update is atomic, and a dump or an ``items()`` call is a consistent
+  snapshot even while other threads write (the service daemon's handler
+  and drainer threads share one registry).
 """
 
 from __future__ import annotations
 
+import threading
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 LabelSet = Tuple[Tuple[str, Any], ...]
@@ -37,48 +42,59 @@ def _render_key(name: str, labels: LabelSet) -> str:
 
 
 class Counter:
-    """A monotonically increasing count, optionally split by labels."""
+    """A monotonically increasing count, optionally split by labels.
 
-    __slots__ = ("name", "_values")
+    Instruments are made by :class:`MetricsRegistry`, which hands each
+    one its lock."""
 
-    def __init__(self, name: str):
+    __slots__ = ("name", "_values", "_lock")
+
+    def __init__(self, name: str, lock: threading.Lock):
         self.name = name
         self._values: Dict[LabelSet, float] = {}
+        self._lock = lock
 
     def inc(self, value: float = 1, **labels: Any) -> None:
         if value < 0:
             raise ValueError(f"counter {self.name!r} cannot decrease")
         key = _labelset(labels)
-        self._values[key] = self._values.get(key, 0) + value
+        with self._lock:
+            self._values[key] = self._values.get(key, 0) + value
 
     def value(self, **labels: Any) -> float:
         return self._values.get(_labelset(labels), 0)
 
     def total(self) -> float:
         """Sum across every label combination."""
-        return sum(self._values.values())
+        with self._lock:
+            return sum(self._values.values())
 
     def items(self) -> Iterable[Tuple[LabelSet, float]]:
-        return self._values.items()
+        with self._lock:
+            return list(self._values.items())
 
 
 class Gauge:
     """A point-in-time value (last write wins), optionally labelled."""
 
-    __slots__ = ("name", "_values")
+    __slots__ = ("name", "_values", "_lock")
 
-    def __init__(self, name: str):
+    def __init__(self, name: str, lock: threading.Lock):
         self.name = name
         self._values: Dict[LabelSet, float] = {}
+        self._lock = lock
 
     def set(self, value: float, **labels: Any) -> None:
-        self._values[_labelset(labels)] = value
+        key = _labelset(labels)
+        with self._lock:
+            self._values[key] = value
 
     def value(self, **labels: Any) -> Optional[float]:
         return self._values.get(_labelset(labels))
 
     def items(self) -> Iterable[Tuple[LabelSet, float]]:
-        return self._values.items()
+        with self._lock:
+            return list(self._values.items())
 
 
 #: Default histogram bucket upper bounds (seconds-flavoured, like the
@@ -119,6 +135,13 @@ class _HistogramBucket:
         """Cumulative ``(upper_bound, count)`` pairs, ``+Inf`` excluded."""
         return list(zip(self.bounds, self.bucket_counts))
 
+    def copy(self) -> "_HistogramBucket":
+        clone = _HistogramBucket(self.bounds)
+        clone.count, clone.sum = self.count, self.sum
+        clone.min, clone.max = self.min, self.max
+        clone.bucket_counts = list(self.bucket_counts)
+        return clone
+
     def summary(self) -> Dict[str, float]:
         mean = self.sum / self.count if self.count else 0.0
         return {
@@ -133,31 +156,37 @@ class _HistogramBucket:
 class Histogram:
     """Streaming distribution summary (count/sum/min/max/mean) per labelset."""
 
-    __slots__ = ("name", "_buckets")
+    __slots__ = ("name", "_buckets", "_lock")
 
-    def __init__(self, name: str):
+    def __init__(self, name: str, lock: threading.Lock):
         self.name = name
         self._buckets: Dict[LabelSet, _HistogramBucket] = {}
+        self._lock = lock
 
     def observe(self, value: float, **labels: Any) -> None:
         key = _labelset(labels)
-        bucket = self._buckets.get(key)
-        if bucket is None:
-            bucket = _HistogramBucket()
-            self._buckets[key] = bucket
-        bucket.observe(float(value))
+        with self._lock:
+            bucket = self._buckets.get(key)
+            if bucket is None:
+                bucket = _HistogramBucket()
+                self._buckets[key] = bucket
+            bucket.observe(float(value))
 
     def summary(self, **labels: Any) -> Dict[str, float]:
-        bucket = self._buckets.get(_labelset(labels))
-        return bucket.summary() if bucket else _HistogramBucket().summary()
+        with self._lock:
+            bucket = self._buckets.get(_labelset(labels))
+            return bucket.summary() if bucket else _HistogramBucket().summary()
 
     def buckets(self, **labels: Any) -> List[Tuple[float, int]]:
         """Cumulative ``(le, count)`` pairs for one labelset (may be empty)."""
-        bucket = self._buckets.get(_labelset(labels))
-        return bucket.buckets() if bucket else []
+        with self._lock:
+            bucket = self._buckets.get(_labelset(labels))
+            return bucket.buckets() if bucket else []
 
     def items(self) -> Iterable[Tuple[LabelSet, _HistogramBucket]]:
-        return self._buckets.items()
+        """``(labels, bucket)`` pairs; each bucket is a copy."""
+        with self._lock:
+            return [(labels, bucket.copy()) for labels, bucket in self._buckets.items()]
 
 
 class MetricsRegistry:
@@ -167,58 +196,57 @@ class MetricsRegistry:
         self._counters: Dict[str, Counter] = {}
         self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, Histogram] = {}
+        self._lock = threading.Lock()
 
     @property
     def enabled(self) -> bool:
         return True
 
+    def _create(self, kind: Dict[str, Any], factory: Any, name: str) -> Any:
+        with self._lock:
+            return kind.setdefault(name, factory(name, self._lock))
+
     def counter(self, name: str) -> Counter:
-        instrument = self._counters.get(name)
-        if instrument is None:
-            instrument = Counter(name)
-            self._counters[name] = instrument
-        return instrument
+        return self._counters.get(name) or self._create(self._counters, Counter, name)
 
     def gauge(self, name: str) -> Gauge:
-        instrument = self._gauges.get(name)
-        if instrument is None:
-            instrument = Gauge(name)
-            self._gauges[name] = instrument
-        return instrument
+        return self._gauges.get(name) or self._create(self._gauges, Gauge, name)
 
     def histogram(self, name: str) -> Histogram:
-        instrument = self._histograms.get(name)
-        if instrument is None:
-            instrument = Histogram(name)
-            self._histograms[name] = instrument
-        return instrument
+        return self._histograms.get(name) or self._create(
+            self._histograms, Histogram, name
+        )
 
     def counters(self) -> Dict[str, Counter]:
         """Name → counter snapshot (a shallow copy, safe to iterate)."""
-        return dict(self._counters)
+        with self._lock:
+            return dict(self._counters)
 
     def gauges(self) -> Dict[str, Gauge]:
         """Name → gauge snapshot (a shallow copy, safe to iterate)."""
-        return dict(self._gauges)
+        with self._lock:
+            return dict(self._gauges)
 
     def histograms(self) -> Dict[str, Histogram]:
         """Name → histogram snapshot (a shallow copy, safe to iterate)."""
-        return dict(self._histograms)
+        with self._lock:
+            return dict(self._histograms)
 
     def dump(self) -> Dict[str, Any]:
         """Flat, sorted ``{"name{labels}": value}`` snapshot of everything."""
         flat: Dict[str, Any] = {}
-        for name, counter in self._counters.items():
-            for labels, value in counter.items():
-                flat[_render_key(name, labels)] = value
-        for name, gauge in self._gauges.items():
-            for labels, value in gauge.items():
-                flat[_render_key(name, labels)] = value
-        for name, histogram in self._histograms.items():
-            for labels, bucket in histogram.items():
-                base = _render_key(name, labels)
-                for stat, value in bucket.summary().items():
-                    flat[f"{base}.{stat}"] = value
+        with self._lock:
+            for name, counter in self._counters.items():
+                for labels, value in counter._values.items():
+                    flat[_render_key(name, labels)] = value
+            for name, gauge in self._gauges.items():
+                for labels, value in gauge._values.items():
+                    flat[_render_key(name, labels)] = value
+            for name, histogram in self._histograms.items():
+                for labels, bucket in histogram._buckets.items():
+                    base = _render_key(name, labels)
+                    for stat, value in bucket.summary().items():
+                        flat[f"{base}.{stat}"] = value
         return {key: flat[key] for key in sorted(flat)}
 
 

@@ -20,7 +20,9 @@ carries its batch's trace ID.  A pool is replaced rather than reused
 when a worker died, when an array batch meets workers forked before the
 array engine was loaded, or when the registered problems, algorithms or
 graph families differ from the ones its workers forked with.  Idle
-workers end at interpreter exit or through :func:`shutdown_workers`.
+workers end at interpreter exit or through :func:`shutdown_workers`, and
+every worker ends when its parent process dies, however it dies
+(:func:`_end_with_parent`).
 
 ``concurrent.futures`` (and with it ``multiprocessing``) is imported
 only when a call starts a pool, so serial runs (``workers=1``, the
@@ -154,6 +156,29 @@ def _pool_worker(
         reset_trace_id(token)
 
 
+def _end_with_parent() -> None:
+    """Pool initializer: end this worker as soon as its parent process dies.
+
+    A parent killed by a signal it does not handle never runs the exit
+    hook that stops its pools, and an idle worker would wait on its task
+    queue for good.  A daemon thread blocks on the parent's sentinel, a
+    pipe that reads end-of-file once the parent has exited (and with it
+    any process it forked later, which holds a copy of the pipe).  So a
+    worker whose parent is alive is never ended, and the wait costs no
+    CPU time.
+    """
+    from multiprocessing import parent_process
+    from multiprocessing.connection import wait
+
+    sentinel = parent_process().sentinel
+
+    def watch() -> None:
+        wait([sentinel])
+        os._exit(1)
+
+    threading.Thread(target=watch, name="repro-parent-watch", daemon=True).start()
+
+
 def _load_array_engine(specs: Sequence[JobSpec]) -> bool:
     """Import numpy and the array kernels if any of ``specs`` needs them.
 
@@ -238,7 +263,7 @@ def _checkout(width: int, needs_array: bool) -> _Workers:
     from concurrent.futures import ProcessPoolExecutor
 
     return _Workers(
-        executor=ProcessPoolExecutor(max_workers=width),
+        executor=ProcessPoolExecutor(max_workers=width, initializer=_end_with_parent),
         width=width,
         registries=registries,
         array_engine="repro.core.array_ops" in sys.modules,
@@ -337,7 +362,6 @@ def run_jobs(
     retries: int = 0,
     progress: Optional[ProgressReporter] = None,
     registry: Optional[MetricsRegistry] = None,
-    trace_id: Optional[str] = None,
     on_event: Optional[Callable[[str, Dict[str, Any]], None]] = None,
 ) -> BatchReport:
     """Run a grid of jobs; returns records in submission order.
@@ -353,7 +377,7 @@ def run_jobs(
     source, and an ``orchestrator.job_seconds`` histogram over executed
     jobs — and its flat dump lands in :attr:`BatchReport.metrics`.
 
-    ``trace_id`` (default: the ambient :func:`current_trace_id`) is
+    The ambient trace ID (:func:`repro.telemetry.trace_context`) is
     stamped on every record's volatile ``telemetry`` block and carried by
     every task sent to a worker process, correlating this batch's work
     with the submission that caused it.  ``on_event`` receives lifecycle
@@ -363,7 +387,7 @@ def run_jobs(
     content (``RunRecord.fingerprint``).
     """
     started = time.monotonic()
-    active_trace = trace_id if trace_id is not None else current_trace_id()
+    active_trace = current_trace_id()
 
     def _emit(event: str, payload: Dict[str, Any]) -> None:
         if on_event is not None:

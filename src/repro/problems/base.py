@@ -7,17 +7,17 @@ orchestrator, the invariant-monitor plumbing, and the bench harness.  What
 one problem end to end:
 
 * the algorithm runners (``runner(graph, seed, **options) -> RunResult``)
-  plus their canonical/alias names and diagnostic variants;
-* a reference solver producing the ground-truth output on a graph;
-* the invariant monitors that ``--monitors all`` should attach;
+  plus their canonical/alias names, diagnostic variants and the spec
+  options each runner accepts;
 * the awake-complexity bound the measured curves are normalized against.
 
 A :class:`ProblemBundle` packages exactly that, and the module-level
 registry (:func:`register_problem` / :func:`problem_bundle`) is the single
-place drivers resolve a ``problem=`` axis — the CLI, ``JobSpec``, the
-monitor spec resolver, and the comparison tables all go through it, so
-adding a problem (coloring, congested-clique MST, ...) is one new bundle
-module, not a cross-layer surgery.
+place drivers resolve a ``problem=`` axis — the CLI, ``JobSpec`` and the
+orchestrator all go through it, so adding a problem (coloring,
+congested-clique MST, ...) is one new bundle module, not a cross-layer
+surgery.  The invariant monitors that ``--monitors all`` attaches per
+problem live in :data:`repro.invariants.PROBLEM_MONITORS`.
 """
 
 from __future__ import annotations
@@ -67,10 +67,6 @@ class ProblemBundle:
 
     #: Registry key and the value of the ``problem=`` grid axis.
     name: str
-    #: Human-readable problem name for tables and docs.
-    title: str
-    #: One-line description (shown by docs and the comparison table).
-    description: str
     #: Canonical algorithm name -> runner.
     algorithms: Mapping[str, AlgorithmRunner]
     #: Lowercase CLI-style aliases -> canonical names.
@@ -80,26 +76,14 @@ class ProblemBundle:
     #: Label the CLI prints next to the output check
     #: (``"correct MST"``, ``"maximal independent set"``).
     check_label: str
-    #: The paper's awake-complexity bound, as prose (``"O(log n)"``).
-    awake_bound: str
     #: Runners resolvable by name but excluded from grids/tables
     #: (e.g. ``Crashing-MST`` for crash-isolation drills).
     diagnostic_algorithms: Mapping[str, AlgorithmRunner] = field(
         default_factory=dict
     )
-    #: Ground-truth solver ``graph -> reference output`` (the unique MST
-    #: edge set; *a* greedy MIS — reference outputs need not be unique).
-    reference_solver: Optional[Callable[[Any], Any]] = None
-    #: Monitor names ``--monitors all`` expands to for this problem (see
-    #: :data:`repro.invariants.PROBLEM_MONITORS`, which mirrors this).
-    monitors: Tuple[str, ...] = ()
-    #: Names of this problem's benchmarks in :mod:`repro.bench.suites`.
-    bench_names: Tuple[str, ...] = ()
     #: ``n -> theoretical awake normalizer`` for measured-curve ratios
     #: (``log2 n`` for MST, ``log2 log2 n`` for MIS).
     awake_normalizer: Callable[[int], float] = lambda n: math.log2(max(2, n))
-    #: Human name of the normalizer column in comparison tables.
-    normalizer_label: str = "log2 n"
     #: Canonical algorithm name (grid and diagnostic) -> the spec options
     #: its runner accepts: its own keywords plus the simulator keywords it
     #: forwards (:data:`SIMULATOR_OPTIONS`).  Every algorithm needs an

@@ -14,8 +14,7 @@ from typing import Any, Dict, Optional
 
 from repro.baselines import run_pipelined_ghs, run_traditional_ghs
 from repro.core import run_deterministic_mst, run_randomized_mst
-from repro.graphs import WeightedGraph, mst_weight_set
-from repro.invariants.monitors import PROBLEM_MONITORS
+from repro.graphs import WeightedGraph
 from repro.sim.capabilities import require
 
 from .base import SIMULATOR_OPTIONS, AlgorithmRunner, ProblemBundle, register_problem
@@ -110,25 +109,12 @@ ALGORITHM_ALIASES: Dict[str, str] = {
 MST_BUNDLE = register_problem(
     ProblemBundle(
         name="mst",
-        title="Minimum Spanning Tree",
-        description=(
-            "O(log n)-awake MST in the sleeping model "
-            "(Augustine, Moses Jr., Pandurangan; PODC 2022)"
-        ),
         algorithms=ALGORITHMS,
         aliases=ALGORITHM_ALIASES,
         default_algorithm="Randomized-MST",
         check_label="correct MST",
-        awake_bound="O(log n)",
         diagnostic_algorithms=DIAGNOSTIC_ALGORITHMS,
-        reference_solver=mst_weight_set,
-        monitors=PROBLEM_MONITORS["mst"],
-        bench_names=(
-            "mst_randomized_e2e_n256",
-            "mst_deterministic_e2e_n64",
-        ),
         awake_normalizer=lambda n: math.log2(max(2, n)),
-        normalizer_label="log2 n",
         options=OPTIONS,
     )
 )

@@ -71,21 +71,6 @@ JOB_STATES = (JOB_QUEUED, JOB_RUNNING, JOB_DONE, JOB_FAILED)
 FINISHED_STATES = (JOB_DONE, JOB_FAILED)
 
 
-def _registry_dump(registry: MetricsRegistry) -> Dict[str, Any]:
-    """Dump a registry that another thread may be writing to.
-
-    ``MetricsRegistry.dump`` iterates plain dicts; a concurrent insert
-    from the drainer thread can raise ``RuntimeError``.  Polling is
-    best-effort telemetry, so retry briefly and degrade to ``{}``.
-    """
-    for _ in range(3):
-        try:
-            return registry.dump()
-        except RuntimeError:
-            continue
-    return {}
-
-
 @dataclass
 class Job:
     """One submitted grid: specs, lifecycle state, progress, outcome."""
@@ -129,8 +114,8 @@ class Job:
         """JSON-safe job-state snapshot — the poll payload.
 
         Safe to call from any thread mid-run: progress goes through the
-        reporter's thread-safe :meth:`ProgressReporter.snapshot` and the
-        metrics dump degrades gracefully under concurrent writes.
+        reporter's thread-safe :meth:`ProgressReporter.snapshot`, and a
+        registry dump is atomic.
         """
         payload: Dict[str, Any] = {
             "job": self.job_id,
@@ -147,7 +132,7 @@ class Job:
             ),
             "store": str(self.store_path),
             "progress": self.progress.snapshot(),
-            "metrics": _registry_dump(self.registry),
+            "metrics": self.registry.dump(),
             "error": self.error,
         }
         if self.report is not None:
@@ -175,11 +160,12 @@ class Job:
 class JobQueue:
     """FIFO of grid jobs drained by persistent daemon worker threads.
 
-    ``root`` holds everything the daemon persists: one JSONL run store
-    per job under ``root/jobs/`` (each job resumes from its own store,
-    so a daemon killed mid-append picks up exactly where it died) and,
-    unless an explicit ``cache`` is passed, the shared result cache
-    under ``root/cache``.
+    ``root`` holds one JSONL run store per job under ``root/jobs/``
+    (each job resumes from its own store, so a daemon killed mid-append
+    picks up exactly where it died).  Jobs share ``cache``, a
+    :class:`~repro.orchestrator.ResultCache`; without one every cell
+    executes.  ``repro serve`` passes one under ``root/cache`` unless
+    told otherwise.
 
     ``workers`` is the number of drainer threads (concurrent jobs);
     ``job_workers`` is forwarded to :func:`run_jobs` as the per-job
@@ -433,7 +419,7 @@ class JobQueue:
             "cache": self.cache.stats() if self.cache is not None else None,
             "per_job": per_job,
             "store_skipped_lines": self._store_skipped_lines,
-            "metrics": _registry_dump(self.registry),
+            "metrics": self.registry.dump(),
         }
         return payload
 
@@ -572,7 +558,6 @@ class JobQueue:
                         retries=self.retries,
                         progress=job.progress,
                         registry=job.registry,
-                        trace_id=job.trace_id,
                         on_event=lambda event, payload: job.record_event(
                             event, **payload
                         ),

@@ -107,18 +107,9 @@ class ServiceServer(ThreadingHTTPServer):
     daemon_threads = True
     allow_reuse_address = True
 
-    def __init__(
-        self,
-        address: Tuple[str, int],
-        queue: JobQueue,
-        quiet: bool = True,
-    ):
+    def __init__(self, address: Tuple[str, int], queue: JobQueue):
         super().__init__(address, ServiceHandler)
         self.queue = queue
-        #: Retained for compatibility: access records always go to the
-        #: ``repro.service.access`` logger; ``quiet`` only controls
-        #: whether the stdlib fallback messages also reach stderr.
-        self.quiet = quiet
 
     @property
     def url(self) -> str:
@@ -212,13 +203,6 @@ class ServiceHandler(BaseHTTPRequestHandler):
     def log_error(self, format: str, *args: Any) -> None:
         access_logger().error(format % args if args else format)
 
-    def log_message(self, format: str, *args: Any) -> None:
-        # Anything the stdlib would print to stderr (we already emit the
-        # access record in log_request) goes to the logger instead.
-        access_logger().info(format % args if args else format)
-        if not getattr(self.server, "quiet", True):
-            sys.stderr.write((format % args if args else format) + "\n")
-
     # -- responses -------------------------------------------------------
 
     def _reply(self, status: int, payload: Dict[str, Any]) -> None:
@@ -242,17 +226,6 @@ class ServiceHandler(BaseHTTPRequestHandler):
     def _error(self, __code: int, __message: str, **extra: Any) -> None:
         self._reply(__code, {"error": __message, **extra})
 
-    def _render_metrics(self) -> str:
-        """Prometheus page; retried because drainers write concurrently."""
-        for _ in range(3):
-            try:
-                return render_prometheus(
-                    self.queue.registry, help_texts=METRIC_HELP
-                )
-            except RuntimeError:
-                continue
-        return ""
-
     # -- GET -----------------------------------------------------------
 
     def do_GET(self) -> None:  # noqa: N802 (http.server naming)
@@ -272,11 +245,8 @@ class ServiceHandler(BaseHTTPRequestHandler):
             self._reply(200, self.queue.stats())
             return
         if path == "/metrics":
-            self._reply_bytes(
-                200,
-                self._render_metrics().encode("utf-8"),
-                PROMETHEUS_CONTENT_TYPE,
-            )
+            page = render_prometheus(self.queue.registry, help_texts=METRIC_HELP)
+            self._reply_bytes(200, page.encode("utf-8"), PROMETHEUS_CONTENT_TYPE)
             return
         job_id, subresource = self._parse_job_path(path)
         if job_id is None:
@@ -374,10 +344,7 @@ class ServiceHandler(BaseHTTPRequestHandler):
 
 
 def build_server(
-    queue: JobQueue,
-    host: str = "127.0.0.1",
-    port: int = 0,
-    quiet: bool = True,
+    queue: JobQueue, host: str = "127.0.0.1", port: int = 0
 ) -> ServiceServer:
     """Bind a server (``port=0`` picks an ephemeral port) — not serving yet.
 
@@ -385,7 +352,7 @@ def build_server(
     the CLI daemon (``serve_forever`` on the main thread) and from tests
     (``serve_forever`` on a background thread, ``shutdown()`` to stop).
     """
-    return ServiceServer((host, port), queue, quiet=quiet)
+    return ServiceServer((host, port), queue)
 
 
 def serve_forever(server: ServiceServer) -> None:

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import pytest
 
 from repro.obs import NULL_REGISTRY, MetricsRegistry
+from repro.telemetry import render_prometheus, validate_promtext
 
 
 class TestCounter:
@@ -86,6 +90,69 @@ class TestRegistry:
         second.counter("b").inc()
         second.counter("a").inc()
         assert first.dump() == second.dump()
+
+
+def contend(*targets):
+    """Run each target on its own thread, all released at once, switching
+    threads every microsecond."""
+    barrier = threading.Barrier(len(targets))
+
+    def released(target):
+        barrier.wait()
+        target()
+
+    threads = [threading.Thread(target=released, args=(t,)) for t in targets]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+
+
+class TestThreads:
+    """The service daemon's handler and drainer threads share a registry,
+    and pollers dump a job's registry while ``run_jobs`` writes to it."""
+
+    def test_no_increment_is_lost(self):
+        hits = MetricsRegistry().counter("hits")
+
+        def increment():
+            for _ in range(50_000):
+                hits.inc()
+
+        contend(*[increment] * 4)
+        assert hits.value() == 200_000
+
+    def test_dumps_and_pages_are_snapshots(self):
+        registry = MetricsRegistry()
+        histogram = registry.histogram("timed")
+        histogram.observe(1.0)
+        seen = []
+
+        def write():
+            for index in range(20_000):
+                histogram.observe(1.0)
+                if index % 50 == 0:
+                    registry.counter("labelled").inc(index=index)
+
+        def read():
+            for _ in range(300):
+                try:
+                    dump = registry.dump()
+                    # Every observation is 1.0: count and sum move together.
+                    seen.append(dump["timed.sum"] == dump["timed.count"])
+                    validate_promtext(render_prometheus(registry))
+                except (RuntimeError, ValueError) as error:
+                    seen.append(error)
+
+        contend(write, read)
+        assert seen == [True] * 300
+        assert histogram.summary()["count"] == 20_001
 
 
 class TestNullRegistry:

@@ -137,6 +137,18 @@ class TestBatchCLI:
         )
         assert not (tmp_path / "x.jsonl").exists()
 
+    def test_unknown_spec_key_is_a_usage_error(self, tmp_path, capsys):
+        # grid_from_payload is the one check of a grid's keys.
+        spec_file = tmp_path / "grid.json"
+        spec_file.write_text(json.dumps({"families": ["ring"], "bogus": 1}))
+        code = main(
+            ["batch", "--spec", str(spec_file), "--quiet",
+             "--store", str(tmp_path / "x.jsonl"), "--no-cache"]
+        )
+        assert code == 2
+        assert "unknown grid keys: ['bogus']" in capsys.readouterr().err
+        assert not (tmp_path / "x.jsonl").exists()
+
     @pytest.mark.parametrize("command", ["batch", "submit"])
     def test_missing_spec_file_is_a_usage_error(
         self, command, tmp_path, capsys

@@ -263,8 +263,7 @@ class TestSpecOptions:
 
         with pytest.raises(ValueError, match=r"declares no options for \['B'\]"):
             ProblemBundle(
-                name="undeclared", title="t", description="d",
-                algorithms={"A": print, "B": print}, aliases={},
-                default_algorithm="A", check_label="c", awake_bound="O(1)",
+                name="undeclared", algorithms={"A": print, "B": print},
+                aliases={}, default_algorithm="A", check_label="c",
                 options={"A": frozenset()},
             )

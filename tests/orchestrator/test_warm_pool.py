@@ -31,7 +31,7 @@ from repro.orchestrator import (
 )
 from repro.problems import PROBLEM_REGISTRY, ProblemBundle, register_problem
 from repro.problems.mst import ALGORITHMS, RANDOMIZED_OPTIONS
-from repro.telemetry import current_trace_id
+from repro.telemetry import current_trace_id, trace_context
 
 SRC = Path(__file__).resolve().parents[2] / "src"
 
@@ -174,13 +174,10 @@ class TestReplacement:
         register_problem(
             ProblemBundle(
                 name="warm-test",
-                title="MST under another name",
-                description="registered after the pool forked",
                 algorithms={"Warm-MST": ALGORITHMS["Randomized-MST"]},
                 aliases={},
                 default_algorithm="Warm-MST",
                 check_label="correct MST",
-                awake_bound="O(log n)",
                 options={"Warm-MST": RANDOMIZED_OPTIONS},
             )
         )
@@ -248,15 +245,68 @@ class TestTraceIds:
             pool, "execute_job", lambda spec: {"trace": current_trace_id()}
         )
         specs = expand_grid(**GRID)
-        first = run_jobs(specs, workers=2, trace_id="aaaa0000aaaa0000")
+        with trace_context("aaaa0000aaaa0000"):
+            first = run_jobs(specs, workers=2)
         workers = live_workers()
-        second = run_jobs(specs, workers=2, trace_id="bbbb0000bbbb0000")
+        with trace_context("bbbb0000bbbb0000"):
+            second = run_jobs(specs, workers=2)
         untraced = run_jobs(specs, workers=2)
         assert live_workers() == workers
         assert pids(second) | pids(untraced) <= workers
         assert {r.metrics["trace"] for r in first.records} == {"aaaa0000aaaa0000"}
         assert {r.metrics["trace"] for r in second.records} == {"bbbb0000bbbb0000"}
         assert {r.metrics["trace"] for r in untraced.records} == {None}
+
+
+def process_state(pid):
+    """The state letter of ``/proc/<pid>/stat``, or ``None`` once reaped."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="utf-8") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0]
+    except FileNotFoundError:
+        return None
+
+
+@pytest.mark.skipif(
+    not Path("/proc/self/stat").exists(), reason="needs /proc"
+)
+def test_workers_end_when_their_parent_is_killed():
+    """A process killed by SIGKILL runs no exit hook, so nothing shuts
+    its pool down: its idle workers must end on their own.  An orphan
+    that nobody reaps stays a zombie (state ``Z``), which counts as gone."""
+    code = """
+import json, multiprocessing, time
+from repro.orchestrator import expand_grid, run_jobs
+
+report = run_jobs(expand_grid(["randomized"], ["ring"], [8], [0, 1, 2, 3]), workers=2)
+assert report.failed == 0
+print(json.dumps([child.pid for child in multiprocessing.active_children()]), flush=True)
+time.sleep(120)
+"""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
+    parent = subprocess.Popen(
+        [sys.executable, "-c", code], env=env, stdout=subprocess.PIPE, text=True
+    )
+    # A child that never prints is killed, so readline returns.
+    watchdog = threading.Timer(120, parent.kill)
+    watchdog.start()
+    try:
+        workers = json.loads(parent.stdout.readline())
+    finally:
+        watchdog.cancel()
+        parent.kill()
+        parent.wait(timeout=30)
+        parent.stdout.close()
+    assert len(workers) == 2
+    deadline = time.monotonic() + 5.0
+    alive = set(workers)
+    while alive and time.monotonic() < deadline:
+        alive = {pid for pid in alive if process_state(pid) not in (None, "Z")}
+        time.sleep(0.02)
+    for pid in alive:
+        os.kill(pid, signal.SIGKILL)
+    assert not alive
 
 
 def test_array_batch_gets_workers_forked_with_numpy():

@@ -85,6 +85,13 @@ class TestSubmitCLI:
         assert code == 2
         assert "seed" in capsys.readouterr().err
 
+    def test_submit_unknown_spec_key_exits_2(self, service, tmp_path, capsys):
+        spec_file = tmp_path / "grid.json"
+        spec_file.write_text(json.dumps({"families": ["ring"], "bogus": 1}))
+        code = main(["submit", "--url", service.url, "--spec", str(spec_file)])
+        assert code == 2
+        assert "HTTP 400: unknown grid keys: ['bogus']" in capsys.readouterr().err
+
     def test_submit_unreachable_exits_2(self, capsys):
         code = main(["submit", "--url", "http://127.0.0.1:9", *RING_ARGS])
         assert code == 2
