@@ -280,8 +280,9 @@ def _make_mst_scale(n: int, engine: str) -> Callable[[], Any]:
 
     # Both engines run the *same* graph and seed, so the pair of medians
     # is a clean backend ratio: identical rounds, identical messages,
-    # identical metrics (CI's bench-smoke job asserts byte equality on
-    # the n=4096 graph, seed 0, right after timing this tier).
+    # identical metrics (``pytest --slow`` asserts byte equality on the
+    # n=4096 graph, seed 0, in tests/sim/test_array_engine.py; CI's
+    # bench-smoke job runs it right after timing this tier).
     graph = GRAPH_FAMILIES["grid"](n, 0, None)
 
     def run() -> None:

@@ -5,8 +5,9 @@ This module re-executes the exact phase plan of
 phase — but instead of advancing one coroutine per node it computes each
 block's effect on *all* nodes with numpy kernels:
 
-* fragment labels / levels / parent pointers are int arrays over the
-  node index (sorted-ID order, matching the coroutine engine);
+* fragment roots / levels / parent pointers are int arrays over the
+  node index (sorted-ID order, matching the coroutine engine); a
+  fragment is named by its root's node ID;
 * ``Transmit-Adjacent`` blocks are a single gather over the CSR directed
   edge arrays of :class:`repro.sim.array_engine.ArrayGraph`;
 * ``Upcast-Min`` is pointer doubling (:func:`subtree_min`): each phase
@@ -21,13 +22,20 @@ block's effect on *all* nodes with numpy kernels:
   entry — reproducing the up/down passes of :mod:`repro.core.merging`
   without per-node message flow.
 
-Per-block awake rounds, message counts, and payload bits are charged to a
-:class:`repro.sim.array_engine.BlockAccountant` using the closed-form
-accounting the Transmission-Schedule guarantees (every receiver of every
-block is provably awake in the sending round, so nothing is ever lost
-under the perfect channel — the coroutine engine's metrics confirm 0
-losses on every Randomized-MST run).  The result is **byte-identical**
-per-node :class:`~repro.sim.metrics.NodeMetrics` and
+Each phase is charged to a :class:`repro.sim.array_engine.BlockAccountant`
+once, whole, in the closed form the Transmission-Schedule gives: its
+awake rounds per node, the summed payload bits of its three side
+exchanges, three upcasts and three broadcasts, and one CONGEST check
+against its largest payload (every receiver of every block is provably
+awake in the sending round, so nothing is ever lost under the perfect
+channel — the coroutine engine's metrics confirm 0 losses on every
+Randomized-MST run).  Payload sizes come from per-graph tables: a
+fragment ID is its root's node ID, so its bit size is a gather through
+the root index; levels are below ``n``; a validity bit is 0, 1 or
+``None``.  Only the MOE candidate weights are sized afresh each phase,
+with one :func:`~repro.sim.array_engine.int_field_bits` call.  The
+result is **byte-identical** per-node
+:class:`~repro.sim.metrics.NodeMetrics` and
 :class:`~repro.sim.metrics.Metrics` summaries; the equivalence suite in
 ``tests/core/test_array_equivalence.py`` and
 ``tests/sim/test_array_engine.py`` pins this against the coroutine
@@ -105,21 +113,19 @@ def subtree_min(jumps: List[Tuple[Any, Any]], values: Any) -> Any:
     return combined
 
 
-def owner_edges(g: ArrayGraph, frag: Any, moe_weight: Any, coin: Any):
+def owner_edges(g: ArrayGraph, outgoing: Any, moe_weight: Any, coin: Any):
     """Locate each fragment's MOE owner ``u_T`` and its validity bit.
 
     A node owns its fragment's MOE when one of its ports carries exactly
-    the broadcast MOE weight *and* leads outside the fragment (weights
-    are globally distinct, so at most one directed edge per fragment
-    matches).  Validity follows the paper's star rule: tails here, heads
-    there.  Returns ``(owner_edge, owner_valid)`` per node, ``-1`` /
-    :data:`INT_NOTHING` for non-owners.
+    the broadcast MOE weight *and* leads outside the fragment (the
+    directed-edge mask ``outgoing``; weights are globally distinct, so at
+    most one directed edge per fragment matches).  Validity follows the
+    paper's star rule: tails here, heads there.  Returns ``(owner_edge,
+    owner_valid)`` per node, ``-1`` / :data:`INT_NOTHING` for non-owners.
     """
     n = g.n
     own = (
-        (moe_weight[g.src] != 0)
-        & (g.weight == moe_weight[g.src])
-        & (frag[g.dst] != frag[g.src])
+        (moe_weight[g.src] != 0) & (g.weight == moe_weight[g.src]) & outgoing
     )
     owner_edge = np.full(n, -1, dtype=np.int64)
     owner_valid = np.full(n, INT_NOTHING, dtype=np.int64)
@@ -137,10 +143,9 @@ def reroot_merging_fragments(
     g: ArrayGraph,
     parent: Any,
     parent_edge: Any,
-    frag: Any,
     level: Any,
     jumps: List[Tuple[Any, Any]],
-    root_idx: Any,
+    root: Any,
     merging: Any,
     path: Any,
     merge_edge: Any,
@@ -152,18 +157,20 @@ def reroot_merging_fragments(
     at its heads neighbour; its ancestor chain up to the old root
     (``path``, the block-8 path) reverses its parent pointers; every
     other merging node keeps its pointers and re-levels from its parent
-    (the block-9 down pass).  No step walks a tree level or a path hop:
+    (the block-9 down pass).  A fragment is named by its root's node ID,
+    so ``root`` (each node's root index) carries the label.  No step
+    walks a tree level or a path hop:
 
     * each path node ``c`` with an old parent becomes that parent's new
       parent, in one scatter;
-    * a merging node takes its heads fragment's label through its old
+    * a merging node takes its heads fragment's root through its old
       root;
     * a merging node ``v`` with nearest path ancestor ``a`` (``v`` itself
       on the path) ends at level ``level[heads] + 1 + level[u_T] -
       2 * level[a] + level[v]``, and ``a`` comes from pointer jumping,
       squaring once per entry of the phase's ``jumps`` table.
 
-    Returns ``(new_level, new_frag, new_parent, new_parent_edge)``;
+    Returns ``(new_level, new_root, new_parent, new_parent_edge)``;
     nodes outside merging fragments keep their current values.
     """
     u_t = np.nonzero(merge_edge >= 0)[0]
@@ -179,11 +186,11 @@ def reroot_merging_fragments(
     new_parent_edge[u_t] = merge_edge[u_t]
 
     # Per merging fragment, indexed by its old root: the heads fragment's
-    # label and level[heads] + 1 + level[u_T].
-    heads_frag = np.zeros_like(frag)
+    # root and level[heads] + 1 + level[u_T].
+    heads_root = np.zeros_like(root)
     base_level = np.zeros_like(level)
-    roots = root_idx[u_t]
-    heads_frag[roots] = frag[heads]
+    roots = root[u_t]
+    heads_root[roots] = root[heads]
     base_level[roots] = level[heads] + 1 + level[u_t]
 
     # Path nodes and non-merging nodes are fixed points; the others step
@@ -193,18 +200,11 @@ def reroot_merging_fragments(
     for _ in jumps:
         anchor = anchor[anchor]
 
-    new_frag = np.where(merging, heads_frag[root_idx], frag)
+    new_root = np.where(merging, heads_root[root], root)
     new_level = np.where(
-        merging, base_level[root_idx] - 2 * level[anchor] + level, level
+        merging, base_level[root] - 2 * level[anchor] + level, level
     )
-    return new_level, new_frag, new_parent, new_parent_edge
-
-
-def _scalar_bits(values: Any) -> Any:
-    """Payload bits of a scalar upcast/broadcast value (None at NOTHING)."""
-    return np.where(
-        values == INT_NOTHING, NONE_BITS, int_field_bits(values)
-    )
+    return new_level, new_root, new_parent, new_parent_edge
 
 
 def run_randomized_mst_array(
@@ -239,11 +239,17 @@ def run_randomized_mst_array(
     )
     phases_run = 0
 
-    # State arrays (node index = rank of the node ID in sorted order).
-    frag = ids.copy()
+    # State arrays (node index = rank of the node ID in sorted order).  A
+    # fragment is named by its root's ID; ``root`` holds the root's index.
+    root = np.arange(n)
     level = np.zeros(n, dtype=np.int64)
     parent = np.full(n, -1, dtype=np.int64)
     parent_edge = np.full(n, -1, dtype=np.int64)
+
+    # Payload field sizes by table: fragment IDs are node IDs, levels are
+    # below n, and a validity bit is 0, 1 (4 bits each) or None.
+    id_bits = int_field_bits(ids)
+    level_bits = int_field_bits(np.arange(n))
 
     # Per-node RNGs, seeded exactly like NodeContext.rng; only current
     # fragment roots draw (once per phase, in block 3).
@@ -259,30 +265,24 @@ def run_randomized_mst_array(
 
         is_root = parent < 0
         nonroot = ~is_root
-        child_count = np.bincount(
-            parent[nonroot], minlength=n
-        ).astype(np.int64)
+        child_count = np.bincount(parent + 1, minlength=n + 1)[1:]
         has_children = child_count > 0
-        root_idx = np.searchsorted(ids, frag)
         jumps = ancestor_jumps(parent)
-        up_receive_round = 2 * n - level  # + start - ... added per block
-        down_receive_round = level - 1
+        frag_bits = id_bits[root]
 
         # ----- Block 1: neighbor_refresh — (fragment, level) on all ports.
-        acc.charge_awake(None, starts[0] + n)
-        pb1 = TUPLE_OVERHEAD + int_field_bits(frag) + int_field_bits(level)
-        acc.charge_side_exchange(pb1)
+        pb1 = TUPLE_OVERHEAD + frag_bits + level_bits[level]
 
         # Local MOE candidates: lightest incident edge leaving the fragment.
-        outgoing = frag[g.dst] != frag[g.src]
+        outgoing = root[g.dst] != root[g.src]
         edge_weight = np.where(outgoing, g.weight, INT_NOTHING)
         candidate = np.minimum.reduceat(edge_weight, g.indptr[:-1])
 
         # ----- Block 2: Upcast-Min of the candidate weights.
         combined = subtree_min(jumps, candidate)
-        acc.charge_awake(has_children, starts[1] + up_receive_round)
-        acc.charge_awake(nonroot, starts[1] + up_receive_round + 1)
-        acc.charge_up_messages(nonroot, parent, level, _scalar_bits(combined))
+        no_moe = combined == INT_NOTHING
+        weight_bits = int_field_bits(combined)
+        pb2 = np.where(no_moe, NONE_BITS, weight_bits)
 
         # ----- Block 3: roots draw coins, broadcast (MOE|0, coin, halt).
         # Each root draws once from its own generator, in ascending index
@@ -292,55 +292,38 @@ def run_randomized_mst_array(
         draws = np.array([rngs[idx].random() for idx in roots.tolist()])
         coin_draw = np.zeros(n, dtype=np.int64)
         coin_draw[roots] = np.where(draws < 0.5, HEADS, TAILS)
-        frag_moe = combined[root_idx]
-        moe_weight = np.where(frag_moe == INT_NOTHING, 0, frag_moe)
-        coin = coin_draw[root_idx]
-        if adaptive:
-            halt = frag_moe == INT_NOTHING
-        else:
-            halt = np.zeros(n, dtype=bool)
+        moe_weight = np.where(no_moe, 0, combined)[root]
+        # A missing MOE is sent as 0, a 4-bit field.
+        moe_bits = np.where(no_moe, 4, weight_bits)[root]
+        coin = coin_draw[root]
         # (moe|0, coin, halt): coin and halt are 0/1 ints, 4 bits each.
-        pb3 = TUPLE_OVERHEAD + int_field_bits(moe_weight) + 8
-        acc.charge_awake(nonroot, starts[2] + down_receive_round)
-        acc.charge_awake(has_children, starts[2] + down_receive_round + 1)
-        acc.charge_down_messages(
-            has_children, parent, level, child_count, nonroot, pb3
-        )
-        if bool(halt.all()):
-            next_block_start = starts[3]
+        pb3 = TUPLE_OVERHEAD + moe_bits + 8
+
+        if adaptive and bool(no_moe[roots].all()):
+            # Every fragment halts after block 3: charge blocks 1-3.
+            acc.charge_awake(starts, level, nonroot, has_children)
+            acc.charge_side_exchange([pb1])
+            acc.charge_up_messages(parent, level, [nonroot], [pb2])
+            acc.charge_down_messages(
+                parent, level, child_count, [has_children], [pb3]
+            )
             break
-        if bool(halt.any()):  # pragma: no cover - impossible when connected
+        if adaptive and bool(no_moe[roots].any()):  # pragma: no cover
             raise RuntimeError(
                 "halt flag differs across fragments; graph is disconnected"
             )
 
         # ----- Block 4: announce (fragment, coin, MOE weight); find u_T.
-        acc.charge_awake(None, starts[3] + n)
-        pb4 = (
-            TUPLE_OVERHEAD
-            + int_field_bits(frag)
-            + 4
-            + int_field_bits(moe_weight)
-        )
-        acc.charge_side_exchange(pb4)
-        owner_edge, owner_valid = owner_edges(g, frag, moe_weight, coin)
+        pb4 = TUPLE_OVERHEAD + frag_bits + 4 + moe_bits
+        owner_edge, owner_valid = owner_edges(g, outgoing, moe_weight, coin)
 
         # ----- Block 5: Upcast-Min of the validity bit.
         valid_combined = subtree_min(jumps, owner_valid)
-        acc.charge_awake(has_children, starts[4] + up_receive_round)
-        acc.charge_awake(nonroot, starts[4] + up_receive_round + 1)
-        acc.charge_up_messages(
-            nonroot, parent, level, _scalar_bits(valid_combined)
-        )
+        pb5 = np.where(valid_combined == INT_NOTHING, NONE_BITS, 4)
 
         # ----- Block 6: broadcast the validity bit back down.
-        valid_bit = valid_combined[root_idx]
-        pb6 = _scalar_bits(valid_bit)
-        acc.charge_awake(nonroot, starts[5] + down_receive_round)
-        acc.charge_awake(has_children, starts[5] + down_receive_round + 1)
-        acc.charge_down_messages(
-            has_children, parent, level, child_count, nonroot, pb6
-        )
+        valid_bit = valid_combined[root]
+        pb6 = pb5[root]
 
         fragment_merging = (coin == TAILS) & (valid_bit == 1)
         # Weights are distinct, so a merging fragment has exactly one MOE
@@ -354,71 +337,44 @@ def run_randomized_mst_array(
         )
 
         # ----- Block 7: merge announce (fragment, level, merging?).
-        acc.charge_awake(None, starts[6] + n)
-        pb7 = (
-            TUPLE_OVERHEAD
-            + int_field_bits(frag)
-            + int_field_bits(level)
-            + 4
-        )
-        acc.charge_side_exchange(pb7)
+        pb7 = pb1 + 4
 
         # Re-rooted labels for all merging nodes (blocks 8-9 semantics).
-        new_level, new_frag, new_parent, new_parent_edge = (
+        new_level, new_root, new_parent, new_parent_edge = (
             reroot_merging_fragments(
                 g,
                 parent,
                 parent_edge,
-                frag,
                 level,
                 jumps,
-                root_idx,
+                root,
                 fragment_merging,
                 path,
                 merge_edge,
             )
         )
 
-        # ----- Block 8: up pass — only merging nodes wake; path nodes
-        # with an old parent send (NEW-LEVEL, NEW-FRAGMENT) upward.
-        m_children = fragment_merging & has_children
-        m_nonroot = fragment_merging & nonroot
-        acc.charge_awake(m_children, starts[7] + up_receive_round)
-        acc.charge_awake(m_nonroot, starts[7] + up_receive_round + 1)
-        pb_merge = np.where(
-            path,
-            TUPLE_OVERHEAD
-            + int_field_bits(new_level)
-            + int_field_bits(new_frag),
-            0,
-        )
-        acc.charge_up_messages(path & nonroot, parent, level, pb_merge)
+        # ----- Blocks 8-9: only merging nodes wake.  Path nodes with an
+        # old parent send (NEW-LEVEL, NEW-FRAGMENT) up, and every merging
+        # node with old children forwards its new labels down.
+        pb_merge = TUPLE_OVERHEAD + level_bits[new_level] + id_bits[new_root]
 
-        # ----- Block 9: down pass — every merging node with old children
-        # forwards its (by now known) new labels to them.
-        acc.charge_awake(m_nonroot, starts[8] + down_receive_round)
-        acc.charge_awake(m_children, starts[8] + down_receive_round + 1)
-        pb9 = np.where(
-            fragment_merging,
-            TUPLE_OVERHEAD
-            + int_field_bits(new_level)
-            + int_field_bits(new_frag),
-            0,
+        acc.charge_awake(starts, level, nonroot, has_children, fragment_merging)
+        acc.charge_side_exchange([pb1, pb4, pb7])
+        acc.charge_up_messages(
+            parent, level, [nonroot, nonroot, path & nonroot], [pb2, pb5, pb_merge]
         )
-        heard9 = pb9[parent]
         acc.charge_down_messages(
-            m_children,
             parent,
             level,
             child_count,
-            m_nonroot,
-            pb9,
-            receiver_bits=heard9,
+            [has_children, has_children, fragment_merging & has_children],
+            [pb3, pb6, pb_merge],
         )
 
         # Commit the merge.
-        frag, level, parent, parent_edge = (
-            new_frag,
+        root, level, parent, parent_edge = (
+            new_root,
             new_level,
             new_parent,
             new_parent_edge,
@@ -443,7 +399,7 @@ def run_randomized_mst_array(
         tree_weights[par].append(w)
 
     node_results: Dict[int, MSTNodeOutput] = {}
-    frag_list = frag.tolist()
+    frag_list = ids[root].tolist()
     level_list = level.tolist()
     for idx, node_id in enumerate(ids.tolist()):
         node_results[node_id] = MSTNodeOutput(

@@ -77,7 +77,6 @@ class Job:
 
     job_id: str
     specs: List[JobSpec]
-    grid: Dict[str, Any]
     store_path: Path
     status: str = JOB_QUEUED
     #: Total submissions that resolved to this job (1 = never coalesced).
@@ -308,7 +307,6 @@ class JobQueue:
             job = Job(
                 job_id=job_id,
                 specs=specs,
-                grid={key: value for key, value in grid.items()},
                 store_path=self.root / "jobs" / f"{job_id}.jsonl",
                 trace_id=submission_trace,
             )

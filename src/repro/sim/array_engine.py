@@ -9,14 +9,15 @@ nodes at once:
 
 * the graph becomes a CSR edge structure (:class:`ArrayGraph`) so message
   exchange is a gather/scatter over a precomputed directed-edge array;
-* fragment labels, levels, and parent pointers live in int arrays;
+* fragment roots, levels, and parent pointers live in int arrays;
 * awake rounds, message counts, and CONGEST bit totals accumulate as
-  vector reductions into :class:`BlockAccountant` and are folded into the
-  exact same :class:`~repro.sim.metrics.Metrics` shape at the end.
+  vector reductions into :class:`BlockAccountant`, one pass per phase,
+  and are folded into the exact same :class:`~repro.sim.metrics.Metrics`
+  shape at the end.
 
 The algorithm-level kernels (MOE selection, convergecast minima, merge
-re-rooting) live in :mod:`repro.core.array_ops`, which drives the
-accountant block by block; this module knows about blocks, rounds, bits,
+re-rooting) live in :mod:`repro.core.array_ops`, which charges the
+accountant once per phase; this module knows about blocks, rounds, bits,
 and budgets, but not how an MST is computed.
 
 The backend is deliberately *narrow*: it runs Randomized-MST on the
@@ -38,7 +39,7 @@ engine never loads numpy.
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -142,11 +143,20 @@ def int_field_bits(values: Any) -> Any:
 class BlockAccountant:
     """Per-node metric arrays plus the CONGEST budget, one run's worth.
 
-    The algorithm kernels call the ``charge_*`` helpers once per block;
-    every helper takes *arrays over all nodes* (or all directed edges) and
-    updates awake counts, last-awake rounds, message counters, and bit
-    totals with vector reductions.  :meth:`finalize` folds the arrays into
-    the coroutine engine's :class:`~repro.sim.metrics.Metrics` shape.
+    :mod:`repro.core.array_ops` charges each Randomized-MST phase once,
+    whole.  A phase is three triples of blocks, each a side exchange, an
+    upcast and a broadcast (blocks 1-3, 4-6 and 7-9); the phase that
+    halts runs only the first triple.  The Transmission-Schedule fixes
+    every block's wake-up offsets (:mod:`repro.core.schedule`), so
+    :meth:`charge_awake` adds a phase's awake rounds in closed form, and
+    each ``charge_*`` message helper sums its three blocks' payload bits
+    per node before one reduction over edges or parents.  Every helper
+    takes *arrays over all nodes* and updates awake counts, last-awake
+    rounds, message counters and bit totals with vector operations.
+    :meth:`check_limits` checks the phase's largest payload against the
+    CONGEST budget and the round and awake-event caps, and
+    :meth:`finalize` folds the arrays into the coroutine engine's
+    :class:`~repro.sim.metrics.Metrics` shape.
     """
 
     def __init__(
@@ -179,50 +189,197 @@ class BlockAccountant:
         self.strict_congest = strict_congest
         self.max_rounds = max_rounds
         self.max_awake_events = max_awake_events
+        # The charged phase's message blocks, kept until check_limits in
+        # case one of its messages is over budget.
+        self._side: Sequence[Any] = ()
+        self._up: Tuple[Any, ...] = ()
+        self._down: Tuple[Any, ...] = ()
+        self._phase_max = 0
 
     # ------------------------------------------------------------------
     # Awake accounting
     # ------------------------------------------------------------------
 
-    def charge_awake(self, mask: Any, round_numbers: Any) -> None:
-        """Mark ``mask`` nodes awake at the given per-node round numbers.
+    def charge_awake(
+        self,
+        starts: Sequence[int],
+        level: Any,
+        nonroot: Any,
+        has_children: Any,
+        merging: Any = None,
+    ) -> None:
+        """Charge one phase's awake rounds; ``starts`` are its block starts.
 
-        ``round_numbers`` may be a scalar (same round for every node, as
-        in Side-Send-Receive) or an array.  Rounds are charged in block
-        order, so the last charge per node is its latest awake round.
+        Every node wakes once per side exchange.  In an upcast or a
+        broadcast a node with children wakes once to hear them or send to
+        them, and a non-root node once to send to or hear its parent.
+        ``merging is None`` marks the halting phase (blocks 1-3 only);
+        otherwise the last upcast and broadcast (blocks 8-9) wake only the
+        ``merging`` nodes.
+
+        A node's last awake round is then its broadcast send (Down-Send,
+        ``start + level``) or receive (Down-Receive, ``start + level -
+        1``) in the phase's last broadcast it takes part in, or else the
+        last side exchange (``start + n``).
         """
-        if mask is None:
-            self.awake += 1
-            self.last_awake[:] = round_numbers
-            return
-        self.awake += mask
-        np.copyto(self.last_awake, round_numbers, where=mask)
+        tree = np.add(nonroot, has_children, dtype=np.int64)
+        if merging is None:
+            self.awake += 1 + 2 * tree
+            last_tree, side, down = tree > 0, starts[0], starts[2]
+        else:
+            self.awake += 3 + tree * np.where(merging, 6, 4)
+            last_tree, side, down = merging & (tree > 0), starts[6], starts[8]
+        self.last_awake = np.where(
+            last_tree, level + has_children + (down - 1), side + self.graph.n
+        )
 
     # ------------------------------------------------------------------
     # Message accounting (all delivered: every receiver below is awake in
     # the sending round by the Transmission-Schedule invariants, so the
     # sleeping-loss branch of the coroutine engine can never fire here).
-    #
-    # Strict CONGEST raises for the over-budget message the coroutine
-    # engine sends first: the earliest send round of the block, then the
-    # lowest node ID (nodes due in one round step in ID order), then the
-    # first port the node's send dict lists.
+    # Each helper takes one payload array per block of its kind, in
+    # schedule order, and folds the largest payload actually sent into
+    # the phase's maximum.
     # ------------------------------------------------------------------
 
-    def _over_budget(self, payload_bits: Any) -> Any:
-        """Fold one block's payload sizes into the maximum.
+    def charge_side_exchange(self, payloads: Sequence[Any]) -> None:
+        """Every node sends ``payloads[k][v]`` bits on each port in the
+        phase's ``k``-th side exchange; all are delivered.
 
-        Returns the mask of entries over the CONGEST budget, or ``None``
-        when none is.
+        On a connected graph every node has a port, so every payload is
+        sent.
         """
-        if payload_bits.size == 0:
-            return None
-        block_max = int(payload_bits.max())
-        if block_max > self.max_message_bits:
-            self.max_message_bits = block_max
-        if block_max <= self.budget:
-            return None
-        return payload_bits > self.budget
+        g = self.graph
+        total = sum(payloads)
+        sent = len(payloads) * g.deg
+        self.msgs_sent += sent
+        self.msgs_received += sent
+        self.bits_sent += g.deg * total
+        self.bits_received += np.bincount(
+            g.dst, weights=total[g.src], minlength=g.n
+        ).astype(np.int64)
+        self._side = payloads
+        self._phase_max = max(self._phase_max, *map(np.ndarray.max, payloads))
+
+    def charge_up_messages(
+        self,
+        parent: Any,
+        level: Any,
+        senders: Sequence[Any],
+        payloads: Sequence[Any],
+    ) -> None:
+        """In the phase's ``k``-th upcast every ``senders[k]`` node sends
+        ``payloads[k]`` bits to its parent.
+
+        Senders are non-root nodes.  Shifting ``parent`` by one puts
+        roots (``-1``) in bin 0, which is dropped.
+        """
+        n = self.graph.n
+        sent = [np.where(mask, bits, 0) for mask, bits in zip(senders, payloads)]
+        count = sum(senders)
+        total = sum(sent)
+        self.msgs_sent += count
+        self.bits_sent += total
+        to_parent = parent + 1
+        self.msgs_received += np.bincount(
+            to_parent, weights=count, minlength=n + 1
+        )[1:].astype(np.int64)
+        self.bits_received += np.bincount(
+            to_parent, weights=total, minlength=n + 1
+        )[1:].astype(np.int64)
+        self._up = (parent, level, senders, payloads)
+        self._phase_max = max(self._phase_max, *map(np.ndarray.max, sent))
+
+    def charge_down_messages(
+        self,
+        parent: Any,
+        level: Any,
+        child_count: Any,
+        senders: Sequence[Any],
+        payloads: Sequence[Any],
+    ) -> None:
+        """In the phase's ``k``-th broadcast every ``senders[k]`` node sends
+        ``payloads[k]`` bits to each of its children.
+
+        A node receives exactly when its parent sends, so each side is a
+        product: fan-outs are the child counts, and a receiver's bits are
+        its parent's payload.
+        """
+        sent = [np.where(mask, bits, 0) for mask, bits in zip(senders, payloads)]
+        count = sum(senders)
+        total = sum(sent)
+        self.msgs_sent += child_count * count
+        self.bits_sent += child_count * total
+        nonroot = parent >= 0
+        self.msgs_received += nonroot * count[parent]
+        self.bits_received += nonroot * total[parent]
+        self._down = (child_count, senders, payloads)
+        self._phase_max = max(self._phase_max, *map(np.ndarray.max, sent))
+
+    # ------------------------------------------------------------------
+    # CONGEST: checked once per phase against its largest payload.  Only
+    # a phase with an over-budget message walks its blocks.
+    #
+    # Strict CONGEST raises for the over-budget message the coroutine
+    # engine sends first: the earliest block, then the earliest send
+    # round of the block, then the lowest node ID (nodes due in one round
+    # step in ID order), then the first port the node's send dict lists.
+    # ------------------------------------------------------------------
+
+    def _over_budget(self) -> None:
+        """Walk the charged phase's blocks in schedule order.
+
+        Strict CONGEST raises :class:`CongestViolation` for the first
+        over-budget message; lenient CONGEST counts every over-budget
+        message.
+        """
+        g = self.graph
+        budget = self.budget
+        parent, level, up_senders, up_payloads = self._up
+        child_count, down_senders, down_payloads = self._down
+        violations = 0
+        for side, up_mask, up_bits, down_mask, down_bits in zip(
+            self._side, up_senders, up_payloads, down_senders, down_payloads
+        ):
+            # Side exchange: every node sends in the same round, on its
+            # ports in ascending order, so the lowest over-budget node's
+            # port 0 carries the first message; a payload sent on deg
+            # ports is deg messages.
+            culprits = np.nonzero(side > budget)[0]
+            if culprits.size:
+                if self.strict_congest:
+                    first = int(culprits[0])
+                    raise self._violation(first, 0, side[first])
+                violations += int(g.deg[culprits].sum())
+            # Upcast: a node at ``level`` sends in round
+            # ``Block.up_send(level)``, so the deepest sender goes first.
+            culprits = np.nonzero(up_mask & (up_bits > budget))[0]
+            if culprits.size:
+                if self.strict_congest:
+                    first = int(culprits[np.argmax(level[culprits])])
+                    raise self._violation(
+                        first,
+                        self._lowest_port(first, np.arange(g.n) == parent[first]),
+                        up_bits[first],
+                    )
+                violations += int(culprits.size)
+            # Broadcast: a node at ``level`` sends in round
+            # ``Block.down_send(level)``, so the shallowest sender goes
+            # first, on its lowest child port: the coroutine protocols
+            # send with ``dict.fromkeys`` over the set of child ports, and
+            # a set of ints below 8 iterates in ascending order (child
+            # ports at 8 or above may iterate in another order).
+            culprits = np.nonzero(down_mask & (down_bits > budget))[0]
+            if culprits.size:
+                if self.strict_congest:
+                    first = int(culprits[np.argmin(level[culprits])])
+                    raise self._violation(
+                        first,
+                        self._lowest_port(first, parent == first),
+                        down_bits[first],
+                    )
+                violations += int(child_count[culprits].sum())
+        self.congest_violations += violations
 
     def _violation(self, node: int, port: int, bits: int) -> CongestViolation:
         return CongestViolation(
@@ -235,122 +392,21 @@ class BlockAccountant:
         lo, hi = g.indptr[node], g.indptr[node + 1]
         return int(g.port[lo:hi][toward[g.dst[lo:hi]]][0])
 
-    def charge_side_exchange(self, payload_bits_per_node: Any) -> None:
-        """All nodes send one message per port; all are delivered.
-
-        ``payload_bits_per_node[v]`` is the size of the (uniform) payload
-        node ``v`` puts on every port this block.  Every node sends in
-        the same round, on its ports in ascending order, so the first
-        message in CSR edge order is the first one sent.
-        """
-        g = self.graph
-        self.msgs_sent += g.deg
-        self.msgs_received += g.deg
-        self.bits_sent += g.deg * payload_bits_per_node
-        # One message per directed edge; a payload sent on deg ports is
-        # deg messages for violation counting.
-        edge_bits = payload_bits_per_node[g.src]
-        self.bits_received += np.bincount(
-            g.dst, weights=edge_bits, minlength=g.n
-        ).astype(np.int64)
-        over = self._over_budget(edge_bits)
-        if over is None:
-            return
-        if self.strict_congest:
-            edge = int(np.argmax(over))
-            raise self._violation(g.src[edge], g.port[edge], edge_bits[edge])
-        self.congest_violations += int(np.count_nonzero(over))
-
-    def charge_up_messages(
-        self,
-        sender_mask: Any,
-        parent: Any,
-        level: Any,
-        payload_bits_per_node: Any,
-    ) -> None:
-        """Each ``sender_mask`` node sends one message to its parent.
-
-        A node at ``level`` sends in round ``Block.up_send(level)``, so
-        the deepest sender goes first.
-        """
-        senders = np.nonzero(sender_mask)[0]
-        if senders.size == 0:
-            return
-        n = self.graph.n
-        bits = payload_bits_per_node[senders]
-        parents = parent[senders]
-        self.msgs_sent[senders] += 1
-        self.bits_sent[senders] += bits
-        self.msgs_received += np.bincount(parents, minlength=n)
-        self.bits_received += np.bincount(
-            parents, weights=bits, minlength=n
-        ).astype(np.int64)
-        over = self._over_budget(bits)
-        if over is None:
-            return
-        if self.strict_congest:
-            culprits = senders[over]
-            first = int(culprits[np.argmax(level[culprits])])
-            raise self._violation(
-                first,
-                self._lowest_port(first, np.arange(n) == parent[first]),
-                payload_bits_per_node[first],
-            )
-        self.congest_violations += int(np.count_nonzero(over))
-
-    def charge_down_messages(
-        self,
-        sender_mask: Any,
-        parent: Any,
-        level: Any,
-        child_count: Any,
-        receiver_mask: Any,
-        payload_bits_per_node: Any,
-        receiver_bits: Any = None,
-    ) -> None:
-        """Senders fan one payload out to all their children.
-
-        ``payload_bits_per_node`` is indexed by sender for the bits sent.
-        Each receiver hears its own parent's payload; in a fragment
-        broadcast that equals its own fragment's payload, so the same
-        array serves both sides — pass ``receiver_bits`` (indexed by
-        receiver) when the payload varies per sender (the merge down
-        pass).
-
-        A node at ``level`` sends in round ``Block.down_send(level)``, so
-        the shallowest sender goes first, on its lowest child port: the
-        coroutine protocols send with ``dict.fromkeys`` over the set of
-        child ports, and a set of ints below 8 iterates in ascending
-        order (child ports at 8 or above may iterate in another order).
-        """
-        senders = np.nonzero(sender_mask)[0]
-        if senders.size:
-            fanout = child_count[senders]
-            bits = payload_bits_per_node[senders]
-            self.msgs_sent[senders] += fanout
-            self.bits_sent[senders] += fanout * bits
-            over = self._over_budget(bits)
-            if over is not None:
-                if self.strict_congest:
-                    culprits = senders[over]
-                    first = int(culprits[np.argmin(level[culprits])])
-                    raise self._violation(
-                        first,
-                        self._lowest_port(first, parent == first),
-                        payload_bits_per_node[first],
-                    )
-                self.congest_violations += int(fanout[over].sum())
-        if receiver_bits is None:
-            receiver_bits = payload_bits_per_node
-        self.msgs_received += receiver_mask
-        self.bits_received += receiver_mask * receiver_bits
-
     # ------------------------------------------------------------------
     # Finalization
     # ------------------------------------------------------------------
 
     def check_limits(self) -> None:
-        """Enforce the round/awake-event safety caps (coarsely, per phase)."""
+        """Close the charged phase: CONGEST first, then the round and
+        awake-event safety caps (coarsely, per phase)."""
+        if self._side:
+            phase_max = int(self._phase_max)
+            if phase_max > self.max_message_bits:
+                self.max_message_bits = phase_max
+            if phase_max > self.budget:
+                self._over_budget()
+            self._side = ()
+            self._phase_max = 0
         if self.max_rounds is not None:
             last = int(self.last_awake.max()) if self.graph.n else 0
             if last > self.max_rounds:

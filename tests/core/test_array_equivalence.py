@@ -3,22 +3,30 @@
 Hypothesis draws (family, n, seed, termination) cells at n <= 64 on the
 perfect channel — the array backend's full supported envelope — and both
 backends must agree on every observable: the MST edge set, the whole
-``Metrics.summary()``, and each node's awake count.  This is the same
+``Metrics.summary()``, and each node's ``NodeMetrics`` (awake rounds,
+messages and bits each way, last awake round) in the same node order.
+A second property draws CONGEST budgets around the payload sizes (and,
+for half the cells, weights of 1 to 40 bits), so that some phases exceed
+the budget in some blocks only: strict runs must raise the same error,
+lenient runs count the same violations.  This is the same
 differential-testing posture as :mod:`tests.sim.test_reference_engine`
 (sparse vs dense engine), one level up the stack.
 """
 
 from __future__ import annotations
 
+from random import Random
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 np = pytest.importorskip("numpy")
 
 from repro.core import run_randomized_mst
-from repro.graphs import mst_weight_set
+from repro.graphs import WeightedGraph, mst_weight_set
 from repro.orchestrator import GRAPH_FAMILIES
+from repro.sim.errors import CongestViolation
 
 FAMILIES = ("path", "ring", "star", "complete", "grid", "gnp", "geometric")
 
@@ -48,6 +56,96 @@ def test_backends_agree_on_random_cells(cell):
             array.metrics.per_node[node].awake_rounds
             == coroutine.metrics.per_node[node].awake_rounds
         ), f"awake count diverged at node {node}"
+    # Every per-node field, in the same insertion order (sorted node IDs).
+    per_node = [
+        [
+            (node, metrics.as_dict())
+            for node, metrics in result.metrics.per_node.items()
+        ]
+        for result in (coroutine, array)
+    ]
+    assert per_node[0] == per_node[1]
+
+
+def congest_outcome(graph, seed, congest_factor, strict, engine):
+    """``("raised", (node_id, port, bits, budget))`` or ``("ran",
+    summary)`` for one Randomized-MST run under a CONGEST budget."""
+    try:
+        result = run_randomized_mst(
+            graph,
+            seed=seed,
+            congest_factor=congest_factor,
+            strict_congest=strict,
+            engine=engine,
+        )
+    except CongestViolation as error:
+        return "raised", (error.node_id, error.port, error.bits, error.budget)
+    return "ran", result.metrics.summary()
+
+
+def with_wide_weights(graph, seed):
+    """``graph`` with distinct weights of 1 to 40 bits, log-uniform.
+
+    The family generators give weights of similar bit lengths, so the
+    first over-budget message is nearly always a side exchange's.  Wide
+    weights make an upcast or broadcast payload outgrow the side
+    payloads before it, in a later phase.
+    """
+    rng = Random(seed)
+    weights = set()
+    columns = graph.edge_columns
+    while len(weights) < len(columns.weight):
+        bits = rng.randint(1, 40)
+        weights.add(rng.randrange(1 << (bits - 1), 1 << bits))
+    weights = rng.sample(sorted(weights), len(weights))
+    return WeightedGraph(
+        sorted(graph.node_ids), list(zip(columns.u, columns.v, weights))
+    )
+
+
+@given(
+    family=st.sampled_from(FAMILIES),
+    n=st.integers(min_value=3, max_value=32),
+    seed=st.integers(min_value=0, max_value=10**6),
+    congest_factor=st.floats(min_value=0.05, max_value=2.0),
+    strict=st.booleans(),
+    wide_weights=st.booleans(),
+)
+# The first over-budget message is an upcast's, from the deeper of two
+# over-budget senders.
+@example(
+    family="complete",
+    n=20,
+    seed=244406,
+    congest_factor=0.72,
+    strict=True,
+    wide_weights=True,
+)
+# The first over-budget message is a broadcast's, from the shallower of
+# two over-budget senders.
+@example(
+    family="path",
+    n=10,
+    seed=254264,
+    congest_factor=1.01,
+    strict=True,
+    wide_weights=True,
+)
+@settings(max_examples=100, deadline=None)
+def test_congest_outcomes_agree_across_budgets(
+    family, n, seed, congest_factor, strict, wide_weights
+):
+    """Strict: the same ``(node_id, port, bits, budget)`` or no error on
+    either engine.  Lenient: equal summaries, ``congest_violations`` and
+    ``max_message_bits`` included."""
+    graph = GRAPH_FAMILIES[family](n, seed, None)
+    if wide_weights:
+        graph = with_wide_weights(graph, seed)
+    coroutine = congest_outcome(graph, seed, congest_factor, strict, None)
+    array = congest_outcome(graph, seed, congest_factor, strict, "array")
+    if not strict:
+        assert coroutine[0] == "ran"
+    assert array == coroutine
 
 
 @given(seed=st.integers(min_value=0, max_value=10**6))

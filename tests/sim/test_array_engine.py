@@ -6,12 +6,15 @@ every supported configuration — same MST edge sets, same
 record fingerprints through the orchestrator — and must refuse loudly
 (``UnsupportedFeatureError``) on everything it does not implement
 (traces, observers, monitors, non-perfect channels, the deterministic
-algorithm).
+algorithm).  A slow test (``pytest --slow``) holds the equivalence on
+the scale tier's n=4096 grid, and a work-count guard holds the Python
+calls of one array run.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 
 import pytest
 
@@ -107,6 +110,76 @@ class TestGoldenEquivalence:
         graph = GRAPH_FAMILIES["grid"](25, 0, None)
         result = run_randomized_mst(graph, seed=0, engine="array", verify=True)
         assert result.is_correct_mst(graph)
+
+
+class TestScaleOracle:
+    @pytest.mark.slow
+    def test_grid_4096_matches_coroutine_engine(self):
+        # The scale tier's n=4096 pair, checked for byte-identical outputs
+        # and metrics.  Its fragment trees reach depth 291 (nine doubling
+        # steps), far past the equivalence suites' n <= 256: the deep-tree
+        # check of the level-bits table and the closed-form last-awake
+        # rounds.
+        graph = GRAPH_FAMILIES["grid"](4096, 0, None)
+        coroutine = run_randomized_mst(graph, seed=0)
+        array = run_randomized_mst(graph, seed=0, engine="array")
+        assert coroutine.mst_weights == array.mst_weights
+        assert coroutine.node_outputs == array.node_outputs
+        assert coroutine.phases == array.phases, (coroutine.phases, array.phases)
+        summaries = [
+            json.dumps(result.metrics.summary(), sort_keys=True)
+            for result in (coroutine, array)
+        ]
+        assert summaries[0] == summaries[1], summaries
+        per_node = [
+            [
+                (node, metrics.as_dict())
+                for node, metrics in result.metrics.per_node.items()
+            ]
+            for result in (coroutine, array)
+        ]
+        assert per_node[0] == per_node[1]
+
+
+#: Python calls into ``repro.sim.array_engine`` and ``repro.core.array_ops``
+#: (``def`` functions only) during one array run on grid n=512, seed
+#: 100000; the per-block accounting made 1,296.
+ARRAY_RUN_CALLS = 268
+
+
+class TestWorkCount:
+    def test_array_run_makes_few_python_calls(self):
+        """A phase is accounted in one pass: the run's Python calls stay
+        within 2% of :data:`ARRAY_RUN_CALLS`.
+
+        Counted with ``sys.setprofile`` call events.  Comprehension
+        frames (``<listcomp>``) are left out: Python 3.12 inlines them.
+        """
+        from repro.core import array_ops
+        from repro.sim import array_engine
+
+        files = {array_ops.__file__, array_engine.__file__}
+        graph = GRAPH_FAMILIES["grid"](512, 100000, None)
+        calls = 0
+
+        def count(frame, event, arg):
+            nonlocal calls
+            code = frame.f_code
+            if (
+                event == "call"
+                and code.co_filename in files
+                and not code.co_name.startswith("<")
+            ):
+                calls += 1
+
+        previous = sys.getprofile()
+        sys.setprofile(count)
+        try:
+            result = array_ops.run_randomized_mst_array(graph, seed=100000)
+        finally:
+            sys.setprofile(previous)
+        assert {out.phases for out in result.node_results.values()} == {24}
+        assert calls <= ARRAY_RUN_CALLS * 1.02, calls
 
 
 class TestCongestParity:
