@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, Sequence, Tuple
 
 #: Named asymptotic models mapping n -> predicted shape (up to a constant).
 MODELS: Dict[str, Callable[[float], float]] = {
@@ -34,17 +34,9 @@ class ScalingFit:
     constant: float
     #: Per-point ratios ``y_i / model(n_i)``.
     ratios: Tuple[float, ...]
-    #: max(ratios) / min(ratios) — 1.0 means a perfect shape match.
+    #: max(ratios) / min(ratios) — 1.0 means a perfect shape match; a
+    #: measurement growing faster or slower than the model inflates it.
     ratio_spread: float
-
-    def is_bounded(self, spread_limit: float) -> bool:
-        """True iff the measured shape tracks the model within the limit.
-
-        A genuinely faster- or slower-growing measurement makes the ratios
-        drift monotonically, inflating the spread; a correct model keeps
-        the spread near 1 (noise aside).
-        """
-        return self.ratio_spread <= spread_limit
 
 
 def fit_scaling(
@@ -65,28 +57,6 @@ def fit_scaling(
     return ScalingFit(
         model=model, constant=constant, ratios=ratios, ratio_spread=spread
     )
-
-
-def best_model(
-    ns: Sequence[float], ys: Sequence[float], candidates: Sequence[str]
-) -> str:
-    """Among candidate models, the one with the smallest ratio spread."""
-    fits = [(fit_scaling(ns, ys, model).ratio_spread, model) for model in candidates]
-    return min(fits)[1]
-
-
-def doubling_ratios(ns: Sequence[float], ys: Sequence[float]) -> List[float]:
-    """``y(2n)/y(n)`` style growth factors between consecutive sizes.
-
-    For ``O(log n)`` quantities these approach 1; for linear, the ratio of
-    sizes; for ``n log n`` slightly above it — a model-free sanity view.
-    """
-    pairs = sorted(zip(ns, ys))
-    return [
-        later / earlier
-        for (_, earlier), (_, later) in zip(pairs, pairs[1:])
-        if earlier > 0
-    ]
 
 
 def geometric_mean(values: Sequence[float]) -> float:

@@ -2,7 +2,7 @@
 
 Table 1 and its Theorem 4 product column are grids: they come from the
 committed campaign ``examples/campaigns/table1.toml`` and its report
-``CAMPAIGN_table1.json`` (laid out by :func:`repro.analysis.table1_from_records`).
+``CAMPAIGN_table1.json``, whose records and fits carry every row.
 Every other section has exactly one producer: a driver here (Lemma 8 rides
 on ``fig1``, the Pipelined-GHS column on ``baseline_gap``).  Each driver
 runs at the fixed parameters behind the EXPERIMENTS.md numbers and returns

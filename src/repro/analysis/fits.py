@@ -9,9 +9,9 @@ unit of resampling (each bootstrap replicate re-draws whole seed columns
 with replacement), so the bands reflect run-to-run randomness rather
 than within-run noise.
 
-Everything is deterministic for a fixed ``seed`` (see
-:mod:`repro.analysis.stats`), which is what lets a committed campaign
-artifact pin its confidence bands byte-for-byte.
+Everything is deterministic for a fixed ``seed``: the bootstrap draws
+from its own :class:`random.Random`, which is what lets a committed
+campaign artifact pin its confidence bands byte-for-byte.
 """
 
 from __future__ import annotations

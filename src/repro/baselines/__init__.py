@@ -2,7 +2,6 @@
 
 from .always_awake import run_traditional_ghs, traditional_metrics
 from .ghs import ghs_phase_budget, ghs_phase_rounds, pipelined_ghs_protocol, run_pipelined_ghs
-from .spanning_tree import run_sleeping_spanning_tree, with_synthetic_weights
 from .flooding import (
     FloodingOutput,
     flooding_broadcast_protocol,
@@ -17,8 +16,6 @@ __all__ = [
     "pipelined_ghs_protocol",
     "run_flooding_broadcast",
     "run_pipelined_ghs",
-    "run_sleeping_spanning_tree",
     "run_traditional_ghs",
     "traditional_metrics",
-    "with_synthetic_weights",
 ]

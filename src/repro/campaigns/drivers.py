@@ -181,16 +181,6 @@ class ProbeSide:
         suffix = f"@{self.problem}" if self.problem else ""
         return f"mean {self.metric}({self.algorithm}{suffix})"
 
-    def to_dict(self) -> Dict[str, Any]:
-        payload: Dict[str, Any] = {
-            "algorithm": self.algorithm, "metric": self.metric
-        }
-        if self.engine:
-            payload["engine"] = self.engine
-        if self.problem:
-            payload["problem"] = self.problem
-        return payload
-
 
 def _parse_side(
     config: Any, driver: str, side: str, source: Optional[str]

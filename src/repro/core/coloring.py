@@ -59,11 +59,6 @@ COLOR_NAMES = {BLUE: "Blue", RED: "Red", ORANGE: "Orange", BLACK: "Black", GREEN
 STAGE_BLOCKS = 5
 
 
-def coloring_total_blocks(max_id: int) -> int:
-    """Total blocks one Fast-Awake-Coloring instance consumes."""
-    return STAGE_BLOCKS * max_id
-
-
 def highest_priority_free_color(taken: Iterable[int]) -> int:
     """The paper's greedy rule: best colour not used by any neighbour."""
     taken_set = set(taken)

@@ -284,32 +284,6 @@ class WeightedGraph:
             best = max(best, max(distances.values()))
         return best
 
-    def subgraph_weights(self, weights: Iterable[int]) -> "WeightedGraph":
-        """Return the subgraph induced by the edges with the given weights."""
-        chosen = set(weights)
-        columns = self._columns
-        return WeightedGraph(
-            self._node_ids,
-            [
-                edge
-                for edge in zip(columns.u, columns.v, columns.weight)
-                if edge[2] in chosen
-            ],
-            max_id=self._max_id,
-        )
-
-    def to_networkx(self):  # pragma: no cover - convenience for notebooks
-        """Return a ``networkx.Graph`` copy (weights as edge attributes)."""
-        import networkx as nx
-
-        graph = nx.Graph()
-        graph.add_nodes_from(self._node_ids)
-        columns = self._columns
-        graph.add_weighted_edges_from(
-            zip(columns.u, columns.v, columns.weight)
-        )
-        return graph
-
     def __iter__(self) -> Iterator[int]:
         return iter(self._node_ids)
 

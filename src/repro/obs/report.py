@@ -79,20 +79,6 @@ class BlockBreakdown:
             default=0,
         )
 
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-friendly form: block -> phase -> cell summary."""
-        payload: Dict[str, Any] = {}
-        for (block, phase), cell in self.cells.items():
-            per_block = payload.setdefault(block, {})
-            per_block[str(phase) if phase is not None else "-"] = {
-                "max_awake": cell.max_awake,
-                "total_awake": cell.total_awake,
-                "messages": cell.messages,
-                "bits": cell.bits,
-                "active_nodes": cell.active_nodes,
-            }
-        return payload
-
 
 def block_breakdown(spans: SpanLog) -> BlockBreakdown:
     """Aggregate a span log into the per-phase × per-block matrix."""

@@ -18,7 +18,7 @@ import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Set, Union
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Union
 
 from repro.jsonl import read_jsonl
 
@@ -159,14 +159,6 @@ class RunStore:
         for record in self.load():
             latest[record.key] = record
         return latest
-
-    def completed_keys(self) -> Set[str]:
-        """Keys whose *latest* record is ``ok`` — what resume may skip."""
-        return {
-            key
-            for key, record in self.latest_by_key().items()
-            if record.status == STATUS_OK
-        }
 
 
 def load_records(path: Union[str, Path]) -> List[RunRecord]:

@@ -43,8 +43,13 @@ from typing import Any, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .capabilities import ARRAY_INT_BOUND
 from .congest import DEFAULT_CONGEST_FACTOR, congest_budget_bits
-from .errors import CongestViolation, SimulationLimitExceeded
+from .errors import (
+    CongestViolation,
+    SimulationLimitExceeded,
+    UnsupportedFeatureError,
+)
 from .metrics import Metrics, NodeMetrics
 
 #: Scalar bit cost of ``None``/``bool`` payload fields (1 + tag overhead).
@@ -52,6 +57,9 @@ NONE_BITS = 3
 
 #: Tuple framing overhead, matching :data:`repro.sim.congest.FIELD_OVERHEAD_BITS`.
 TUPLE_OVERHEAD = 2
+
+#: 2**0 .. 2**62: a value's bit length is the count of entries at or below it.
+_POWERS_OF_TWO = np.left_shift(1, np.arange(63, dtype=np.int64))
 
 
 class ArrayGraph:
@@ -70,20 +78,31 @@ class ArrayGraph:
     insertion order, so a stable sort of the directed edges by source
     puts every node's edges in port order, and each directed edge's
     reverse is its partner ``e ^ 1``.
+
+    A node ID or weight at or above
+    :data:`~repro.sim.capabilities.ARRAY_INT_BOUND` raises
+    :class:`~repro.sim.errors.UnsupportedFeatureError`.
     """
 
     def __init__(self, graph: Any) -> None:
-        # np.fromiter with a known dtype and count converts a sequence of
-        # Python ints faster than np.asarray, which first discovers the
-        # dtype.
         ids = sorted(graph.node_ids)
         if not ids:
             raise ValueError("graph has no nodes")
+        columns = graph.edge_columns
+        self.max_id = ids[-1]
+        self.max_weight = max(columns.weight, default=1)
+        if max(self.max_id, self.max_weight) >= ARRAY_INT_BOUND:
+            raise UnsupportedFeatureError(
+                "node IDs or weights of 2**62 or more",
+                f"the largest ID is {self.max_id}, the largest weight "
+                f"{self.max_weight}",
+            )
+        # np.fromiter with a known dtype and count converts a sequence of
+        # Python ints faster than np.asarray, which first discovers the
+        # dtype.
         self.n = n = len(ids)
         self.ids = np.fromiter(ids, np.int64, n)
-        self.max_id = int(self.ids[-1])
 
-        columns = graph.edge_columns
         m = len(columns.weight)
         # ends[2i], ends[2i + 1] = u[i], v[i].  IDs sort as their node
         # indices do, so a stable sort of the IDs orders the directed
@@ -106,7 +125,6 @@ class ArrayGraph:
         edge_range = np.arange(2 * m, dtype=np.int64)
         self.port = edge_range - indptr[src]
         self.weight = np.fromiter(columns.weight, np.int64, m)[order >> 1]
-        self.max_weight = int(np.abs(self.weight).max(initial=1))
 
         # rev[e] = the sorted position of e's partner (dst -> src).
         position = np.empty_like(order)
@@ -131,13 +149,12 @@ def int_field_bits(values: Any) -> Any:
     """Vectorized :func:`repro.sim.congest._int_field_bits`.
 
     ``bit_length(v) + 3`` for ``v != 0`` and ``4`` for ``v == 0``, exactly
-    matching the scalar sizer the coroutine engine applies per message.
-    The bit length comes from the ``frexp`` exponent, exact for all
-    magnitudes below 2**53 (node IDs and weights are far below).
+    matching the scalar sizer the coroutine engine applies per message,
+    for every magnitude up to :data:`~repro.sim.capabilities.ARRAY_INT_BOUND`.
     """
     v = np.abs(values)
-    _, exponent = np.frexp(v)
-    return np.where(v != 0, exponent + 3, 4)
+    bit_length = np.searchsorted(_POWERS_OF_TWO, v, side="right")
+    return np.where(v != 0, bit_length + 3, 4)
 
 
 class BlockAccountant:

@@ -92,14 +92,6 @@ class SimulationResult:
     monitors: Optional[Any] = None
 
     @property
-    def max_awake(self) -> int:
-        return self.metrics.max_awake
-
-    @property
-    def rounds(self) -> int:
-        return self.metrics.rounds
-
-    @property
     def spans(self):
         """The run's :class:`repro.obs.SpanLog` (``None`` unless observed)."""
         return self.obs.spans if self.obs is not None else None

@@ -140,10 +140,6 @@ class ChannelModel:
         """Round at which ``node_id`` crash-stops, or ``None`` (never)."""
         return None
 
-    def describe(self) -> str:
-        """Short spec-style description (used in logs and records)."""
-        return type(self).__name__
-
 
 class PerfectChannel(ChannelModel):
     """Today's semantics, verbatim: awake receivers hear, sleepers lose.
@@ -154,9 +150,6 @@ class PerfectChannel(ChannelModel):
     """
 
     is_perfect = True
-
-    def describe(self) -> str:
-        return "perfect"
 
 
 class _SeededChannel(ChannelModel):
@@ -189,9 +182,6 @@ class DropChannel(_SeededChannel):
             return DROPPED
         return _sleeping_policy(receiver_awake)
 
-    def describe(self) -> str:
-        return f"drop:{self.p:g}"
-
 
 class DelayChannel(_SeededChannel):
     """Delay each message by uniform ``{0, ..., max_delay}`` rounds.
@@ -213,9 +203,6 @@ class DelayChannel(_SeededChannel):
         if delay == 0:
             return _sleeping_policy(receiver_awake)
         return Outcome("delay", deliver_round=round_number + delay)
-
-    def describe(self) -> str:
-        return f"delay:{self.max_delay}"
 
 
 class DuplicateChannel(_SeededChannel):
@@ -243,9 +230,6 @@ class DuplicateChannel(_SeededChannel):
         if self._rng.random() < self.p:
             return Outcome(base.kind, duplicate_round=round_number + self.lag)
         return base
-
-    def describe(self) -> str:
-        return f"dup:{self.p:g}"
 
 
 class CrashSchedule(ChannelModel):
@@ -305,13 +289,6 @@ class CrashSchedule(ChannelModel):
         """The resolved ``{node_id: crash_round}`` plan (after reset)."""
         return dict(self._plan)
 
-    def describe(self) -> str:
-        if self._random_kills:
-            parts = [f"{c}@{r}" for c, r in self._random_kills]
-            return "crash:" + ",".join(parts)
-        parts = [f"{n}@{r}" for n, r in sorted(self._explicit.items())]
-        return "crash:" + ",".join(parts)
-
 
 class CompositeChannel(ChannelModel):
     """Chain several channel models; the first injected fault wins.
@@ -348,9 +325,6 @@ class CompositeChannel(ChannelModel):
             if r is not None
         ]
         return min(rounds) if rounds else None
-
-    def describe(self) -> str:
-        return "+".join(part.describe() for part in self.parts)
 
 
 # ----------------------------------------------------------------------

@@ -6,12 +6,7 @@ import math
 
 import pytest
 
-from repro.analysis import (
-    best_model,
-    doubling_ratios,
-    fit_scaling,
-    geometric_mean,
-)
+from repro.analysis import fit_scaling, geometric_mean
 
 
 class TestFitScaling:
@@ -27,7 +22,7 @@ class TestFitScaling:
         ys = [2.5 * n * math.log2(n) for n in ns]
         fit = fit_scaling(ns, ys, "nlog")
         assert fit.constant == pytest.approx(2.5)
-        assert fit.is_bounded(1.01)
+        assert fit.ratio_spread <= 1.01
 
     def test_wrong_model_has_drift(self):
         ns = [16, 64, 256, 1024]
@@ -48,25 +43,7 @@ class TestFitScaling:
             fit_scaling([1, 2], [1], "log")
 
 
-class TestBestModel:
-    def test_selects_true_shape(self):
-        ns = [16, 64, 256, 1024]
-        ys = [7 * n * math.log2(n) for n in ns]
-        assert best_model(ns, ys, ["log", "linear", "nlog"]) == "nlog"
-
-    def test_selects_log_for_log_data(self):
-        ns = [16, 64, 256, 1024]
-        ys = [4 * math.log2(n) + 1 for n in ns]
-        assert best_model(ns, ys, ["log", "linear", "nlog"]) == "log"
-
-
 class TestHelpers:
-    def test_doubling_ratios(self):
-        assert doubling_ratios([1, 2, 4], [10, 20, 40]) == [2.0, 2.0]
-
-    def test_doubling_ratios_sorts_by_n(self):
-        assert doubling_ratios([4, 1, 2], [40, 10, 20]) == [2.0, 2.0]
-
     def test_geometric_mean(self):
         assert geometric_mean([1, 4]) == pytest.approx(2.0)
         assert geometric_mean([]) == 0.0

@@ -21,6 +21,7 @@ from repro.analysis.experiments import (
     experiment_ablation_coloring,
     experiment_corollary1,
     experiment_energy,
+    experiment_fig1_reduction,
     experiment_fig2_5,
     experiment_theorem2,
     experiment_toolbox,
@@ -58,7 +59,8 @@ class TestRegistry:
 
 
 class TestQuickDrivers:
-    """Drivers cheap enough to rebuild here (under a second together).
+    """Drivers cheap enough to rebuild here (about 1.5 s together, most
+    of it fig1's).
 
     Each must reproduce its committed section exactly.  Lemma 1's driver
     takes about as long as all of them, so its test reads the committed
@@ -132,6 +134,17 @@ class TestQuickDrivers:
             > 10 * outcome["sleeping_worst_energy_mj"]
         )
 
+    def test_fig1(self, committed):
+        outcome = experiment_fig1_reduction()
+        assert outcome == committed["fig1"]
+        structure = outcome["structure"]
+        assert structure["diameter"] <= structure["diameter_bound"]
+        assert structure["diameter"] < structure["c"]  # X shortcuts the rows
+        assert outcome["oracle_correct"] == outcome["oracle_instances"] == 8
+        assert outcome["css_matches_sd"]
+        # Intersecting instance: the MST needs a heavy edge.
+        assert outcome["heavy_edge_in_mst"]
+
     def test_lemma1(self, committed):
         outcome = committed["lemma1"]
         n, budget = outcome["n"], outcome["phase_budget"]
@@ -164,17 +177,8 @@ class TestHeavyDrivers:
             assert row["growth_factor"] <= RING_GROWTH_FACTOR + 1e-9
         assert outcome["awake_fit"]["ratio_spread"] <= 4.0
 
-    def test_fig1(self, committed):
-        outcome = committed["fig1"]
-        structure = outcome["structure"]
-        assert structure["diameter"] <= structure["diameter_bound"]
-        assert structure["diameter"] < structure["c"]  # X shortcuts the rows
-        assert outcome["oracle_correct"] == outcome["oracle_instances"] == 8
-        assert outcome["css_matches_sd"]
-        # Intersecting instance: the MST needs a heavy edge.
-        assert outcome["heavy_edge_in_mst"]
-
     def test_lemma8(self, committed):
+        # Lemma 8 rides on fig1, which TestQuickDrivers.test_fig1 rebuilds.
         outcome = committed["fig1"]
         lemma8 = outcome["lemma8"]
         assert len(lemma8["cut_bits"]) == 4

@@ -7,13 +7,7 @@ import statistics
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.analysis.stats import (
-    bootstrap_mean_interval,
-    mean,
-    percentile,
-    sample_std,
-    summarize,
-)
+from repro.analysis.stats import mean, percentile
 
 finite_floats = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
@@ -27,14 +21,6 @@ class TestMeanAndStd:
 
     def test_mean_of_empty_is_zero(self):
         assert mean([]) == 0.0
-
-    def test_sample_std_matches_statistics_module(self):
-        values = [3.0, 5.0, 9.0, 11.0]
-        assert sample_std(values) == pytest.approx(statistics.stdev(values))
-
-    def test_sample_std_below_two_values_is_zero(self):
-        assert sample_std([]) == 0.0
-        assert sample_std([7.0]) == 0.0
 
 
 class TestPercentile:
@@ -58,40 +44,3 @@ class TestPercentile:
     def test_median_bounded_by_extremes(self, values):
         median = percentile(values, 50.0)
         assert min(values) <= median <= max(values)
-
-
-class TestSummarize:
-    def test_ci_centered_on_mean(self):
-        summary = summarize([10.0, 12.0, 14.0, 16.0])
-        assert summary.count == 4
-        assert summary.ci_low < summary.mean < summary.ci_high
-        assert summary.mean - summary.ci_low == pytest.approx(
-            summary.ci_high - summary.mean
-        )
-
-    def test_single_value_has_zero_width(self):
-        summary = summarize([5.0])
-        assert summary.ci_low == summary.ci_high == summary.mean == 5.0
-
-    def test_to_dict_rounds(self):
-        payload = summarize([1.0, 2.0]).to_dict(digits=2)
-        assert set(payload) == {
-            "count", "mean", "std", "ci_low", "ci_high", "confidence"
-        }
-        assert payload["mean"] == 1.5
-
-
-class TestBootstrap:
-    def test_deterministic_for_fixed_seed(self):
-        values = [3.0, 9.0, 4.0, 7.0, 5.0]
-        assert bootstrap_mean_interval(values, seed=7) == (
-            bootstrap_mean_interval(values, seed=7)
-        )
-
-    def test_interval_brackets_the_mean(self):
-        values = [3.0, 9.0, 4.0, 7.0, 5.0]
-        low, high = bootstrap_mean_interval(values, resamples=500)
-        assert low <= mean(values) <= high
-
-    def test_constant_sample_collapses(self):
-        assert bootstrap_mean_interval([4.0] * 10) == (4.0, 4.0)

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import EnergyModel, render_table, table1_from_records
+from repro.analysis import EnergyModel, mean
 from repro.baselines import run_traditional_ghs
 from repro.campaigns import load_report
 from repro.core import run_randomized_mst
@@ -68,57 +68,75 @@ def report():
 
 
 @pytest.fixture(scope="module")
-def table(report):
-    return table1_from_records(
-        record for grid in report["grids"].values() for record in grid["records"]
-    )
+def rows(report):
+    """Table 1's rows: ``rows[algorithm][n]`` holds the seed means."""
+    cells = {}
+    for grid in report["grids"].values():
+        for record in grid["records"]:
+            metrics = record["metrics"]
+            by_n = cells.setdefault(metrics["algorithm"], {})
+            by_n.setdefault(metrics["n"], []).append(metrics)
+    return {
+        algorithm: {
+            n: {
+                "max_awake": mean([run["max_awake"] for run in runs]),
+                "rounds": mean([run["rounds"] for run in runs]),
+                "product": mean([run["awake_round_product"] for run in runs]),
+                "correct_runs": sum(1 for run in runs if run["correct"]),
+                "total_runs": len(runs),
+            }
+            for n, runs in sorted(by_n.items())
+        }
+        for algorithm, by_n in cells.items()
+    }
 
 
 class TestTable1:
-    def test_rows_cover_sizes(self, table):
-        for algorithm, rows in TABLE1_ROWS.items():
-            assert [row.n for row in table.rows_for(algorithm)] == list(rows)
+    def test_rows_cover_sizes(self, rows):
+        for algorithm, expected in TABLE1_ROWS.items():
+            assert list(rows[algorithm]) == list(expected)
 
-    def test_all_runs_correct(self, table):
-        assert len(table.rows) == 15
-        assert all(row.correct_runs == row.total_runs == 3 for row in table.rows)
+    def test_all_runs_correct(self, rows):
+        every = [row for by_n in rows.values() for row in by_n.values()]
+        assert len(every) == 15
+        assert all(row["correct_runs"] == row["total_runs"] == 3 for row in every)
 
-    def test_awake_fit_available(self, table):
-        fit = table.awake_fit("Randomized-MST")
-        assert fit.model == "log"
-        assert fit.constant > 0
+    def test_traditional_comparator_runs(self, rows):
+        traditional = rows["Traditional-GHS"]
+        assert len(traditional) == 5
+        for row in traditional.values():
+            assert row["max_awake"] == row["rounds"]  # always-awake accounting
 
-    def test_render_contains_columns(self, table):
-        text = render_table(table)
-        assert "AT/log2 n" in text
-        assert "Randomized-MST" in text
-
-    def test_traditional_comparator_runs(self, table):
-        rows = table.rows_for("Traditional-GHS")
-        assert len(rows) == 5
-        for row in rows:
-            assert row.max_awake == row.rounds  # always-awake accounting
-
-    def test_rows_match_experiments_md(self, table):
+    def test_rows_match_experiments_md(self, rows):
         for algorithm, expected in TABLE1_ROWS.items():
             measured = {
-                row.n: (round(row.max_awake, 1), round(row.rounds))
-                for row in table.rows_for(algorithm)
+                n: (round(row["max_awake"], 1), round(row["rounds"]))
+                for n, row in rows[algorithm].items()
             }
             assert measured == expected, algorithm
 
-    def test_products_match_experiments_md(self, table):
+    def test_products_match_experiments_md(self, rows):
         for algorithm, expected in PRODUCTS.items():
-            rows = table.rows_for(algorithm)
-            assert tuple(round(row.product) for row in rows) == expected
+            products = tuple(
+                round(row["product"]) for row in rows[algorithm].values()
+            )
+            assert products == expected, algorithm
 
-    def test_products_respect_theorem4(self, table):
+    def test_products_respect_theorem4(self, rows):
         # The Ω̃(n) bound: no algorithm's AT x RT comes near n.
-        assert all(row.product >= row.n for row in table.rows)
+        assert all(
+            row["product"] >= n
+            for by_n in rows.values()
+            for n, row in by_n.items()
+        )
         # Randomized-MST tracks n polylog(n): its product per n grows
         # less than 12x while n grows 16x.
-        first, *_, last = table.rows_for("Randomized-MST")
-        assert (last.product / last.n) / (first.product / first.n) < 12
+        randomized = rows["Randomized-MST"]
+        first, last = min(randomized), max(randomized)
+        growth = (randomized[last]["product"] / last) / (
+            randomized[first]["product"] / first
+        )
+        assert growth < 12
 
     def test_fits_match_experiments_md(self, report):
         fits = report["fits"]

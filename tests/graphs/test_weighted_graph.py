@@ -122,12 +122,6 @@ class TestStructure:
         with pytest.raises(ValueError):
             disconnected.diameter()
 
-    def test_subgraph_by_weights(self):
-        graph = triangle()
-        sub = graph.subgraph_weights({10, 20})
-        assert sub.m == 2 and sub.n == 3
-        assert not sub.has_edge(1, 3)
-
 
 class TestEdge:
     def test_normalises_endpoints(self):

@@ -12,6 +12,7 @@ from repro.orchestrator import (
     STATUS_OK,
     JobSpec,
     ResultCache,
+    RunRecord,
     RunStore,
     execute_with_policy,
     expand_grid,
@@ -93,6 +94,31 @@ class TestCrashIsolationAndResume:
         # Resumed records were not re-appended to the same ledger.
         appended = RunStore(store).load()
         assert len(appended) == len(specs) + 3
+
+    def test_resume_reruns_a_key_whose_latest_record_failed(self, tmp_path):
+        # An ok record, then a re-run that regressed: the latest record
+        # rules, so the cell executes again.
+        spec = JobSpec.create("randomized", "ring", 8, 0)
+        store = RunStore(tmp_path / "runs.jsonl")
+        store.append(RunRecord.ok(spec, {"stored": True}))
+        store.append(RunRecord.failed(spec, "RuntimeError: boom"))
+        report = run_jobs([spec], resume=store)
+        assert report.resumed == 0 and report.executed == 1
+        (record,) = report.records
+        assert record.status == STATUS_OK
+        assert record.metrics != {"stored": True}
+
+    def test_resume_skips_a_key_whose_latest_record_is_ok(self, tmp_path):
+        # A failure, then a retry that succeeded: the stored ok record is
+        # reused and nothing executes.
+        spec = JobSpec.create("randomized", "ring", 8, 0)
+        store = RunStore(tmp_path / "runs.jsonl")
+        store.append(RunRecord.failed(spec, "RuntimeError: boom"))
+        store.append(RunRecord.ok(spec, {"stored": True}))
+        report = run_jobs([spec], resume=store)
+        assert report.resumed == 1 and report.executed == 0
+        (record,) = report.records
+        assert record.metrics == {"stored": True}
 
     def test_failed_records_never_served_from_cache(self, tmp_path):
         spec = JobSpec.create("crashing", "ring", 8, 0)

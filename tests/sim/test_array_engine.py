@@ -6,9 +6,9 @@ every supported configuration — same MST edge sets, same
 record fingerprints through the orchestrator — and must refuse loudly
 (``UnsupportedFeatureError``) on everything it does not implement
 (traces, observers, monitors, non-perfect channels, the deterministic
-algorithm).  A slow test (``pytest --slow``) holds the equivalence on
-the scale tier's n=4096 grid, and a work-count guard holds the Python
-calls of one array run.
+algorithm, weights or node IDs of 2**62 or more).  A slow test
+(``pytest --slow``) holds the equivalence on the scale tier's n=4096
+grid, and a work-count guard holds the Python calls of one array run.
 """
 
 from __future__ import annotations
@@ -110,6 +110,61 @@ class TestGoldenEquivalence:
         graph = GRAPH_FAMILIES["grid"](25, 0, None)
         result = run_randomized_mst(graph, seed=0, engine="array", verify=True)
         assert result.is_correct_mst(graph)
+
+
+def five_cycle(weights=(2, 3, 7, 9, 11), last_id=5):
+    """The 5-cycle 1-2-3-4-``last_id``-1 with ``weights`` in that order."""
+    ids = [1, 2, 3, 4, last_id]
+    ring = zip(ids, ids[1:] + ids[:1])
+    return WeightedGraph(ids, [(u, v, w) for (u, v), w in zip(ring, weights)])
+
+
+class TestIntegerDomain:
+    """Below ``ARRAY_INT_BOUND`` (2**62) the engines agree on every weight
+    and ID; at or above it the array engine refuses before round 1."""
+
+    def test_int_field_bits_matches_the_scalar_sizer(self):
+        from repro.sim.array_engine import int_field_bits
+        from repro.sim.congest import _int_field_bits
+
+        # float64 rounds 2**k - 1 up to 2**k for k > 53, so a float-based
+        # bit length is one too long there.
+        values = [v for k in range(62) for v in (2**k - 1, 2**k, 2**k + 1)]
+        sized = int_field_bits(np.array(values, dtype=np.int64)).tolist()
+        assert sized == [_int_field_bits(value) for value in values]
+
+    @pytest.mark.parametrize(
+        "graph, max_message_bits, total_bits",
+        [
+            (five_cycle(weights=(2**60 - 1, 2**60 - 3, 7, 9, 11)), 74, 2778),
+            (five_cycle(last_id=2**60 - 1), 76, 5507),
+            (five_cycle(weights=(2**62 - 1, 2**62 - 3, 7, 9, 11)), 76, 2798),
+        ],
+        ids=["weights-2**60-1", "id-2**60-1", "weights-2**62-1"],
+    )
+    def test_engines_agree_below_the_bound(
+        self, graph, max_message_bits, total_bits
+    ):
+        coroutine, array = run_both(graph, seed=0)
+        assert_identical(coroutine, array)
+        assert coroutine.metrics.max_message_bits == max_message_bits
+        assert coroutine.metrics.total_bits == total_bits
+
+    @pytest.mark.parametrize(
+        "graph",
+        [
+            five_cycle(weights=(2**62, 2**62 - 2, 7, 9, 11)),
+            # Above the sentinel, and past int64.
+            five_cycle(weights=(2**62 + 5, 2**62 + 3, 7, 9, 11)),
+            five_cycle(weights=(2**63 + 5, 2**63 + 3, 7, 9, 11)),
+            five_cycle(last_id=2**62),
+        ],
+        ids=["weight-2**62", "weight-2**62+5", "weight-2**63+5", "id-2**62"],
+    )
+    def test_array_engine_rejects_the_bound(self, graph):
+        assert run_randomized_mst(graph, seed=0).is_correct_mst(graph)
+        with pytest.raises(UnsupportedFeatureError, match=r"2\*\*62 or more"):
+            run_randomized_mst(graph, seed=0, engine="array")
 
 
 class TestScaleOracle:
