@@ -17,19 +17,18 @@ import math
 import sys
 from typing import Any, Optional, Sequence
 
-from repro.orchestrator import (
-    ALGORITHM_ALIASES,
-    ALGORITHMS,
-    GRAPH_FAMILIES,
-    GRID_PAYLOAD_KEYS,
-)
+from repro.orchestrator import GRAPH_FAMILIES, GRID_PAYLOAD_KEYS
+from repro.problems import MST_BUNDLE, problem_names
+from repro.sim.capabilities import ENGINES
 from repro.sim.errors import UnsupportedFeatureError
 
 #: The ``--algorithm`` menu of ``run``, ``check`` and ``trace``: the
 #: aliases of the MST bundle's algorithms, plus ``mis`` (which implies
 #: ``--problem mis``).
 CELL_ALGORITHMS = tuple(
-    alias for alias, name in ALGORITHM_ALIASES.items() if name in ALGORITHMS
+    alias
+    for alias, name in MST_BUNDLE.aliases.items()
+    if name in MST_BUNDLE.algorithms
 ) + ("mis",)
 
 
@@ -41,12 +40,13 @@ def _cell_spec(args: argparse.Namespace):
     ``--termination``.  Raises ``ValueError`` on a bad flag value.
     """
     from repro.invariants import resolve_monitor_spec
-    from repro.orchestrator import JobSpec, resolve_channel_spec
+    from repro.orchestrator import JobSpec
     from repro.problems import problem_bundle
     from repro.sim.capabilities import resolve_engine
+    from repro.sim.transport import validate_channel_spec
 
     options = {}
-    faults = resolve_channel_spec(args.faults)
+    faults = validate_channel_spec(args.faults)
     if faults is not None:
         options["faults"] = faults
     monitors = resolve_monitor_spec(getattr(args, "monitors", None))
@@ -790,7 +790,7 @@ def _add_cell_arguments(parser: argparse.ArgumentParser, n: int) -> None:
         help="MST algorithm, or mis (same as --problem mis)",
     )
     parser.add_argument(
-        "--problem", choices=("mst", "mis"), default="mst",
+        "--problem", choices=problem_names(), default="mst",
         help="problem bundle to dispatch: it selects the validator and the "
         "monitors 'all' expands to (mis ignores --algorithm and runs the "
         "O(log log n)-awake Sleeping-MIS protocol)",
@@ -841,13 +841,13 @@ def _add_grid_arguments(parser: argparse.ArgumentParser) -> None:
         "comma-separated subset); records gain violations/first_invariant",
     )
     parser.add_argument(
-        "--engine", choices=("coroutine", "array"), default=None,
+        "--engine", choices=ENGINES, default=None,
         help="simulation backend for every cell; the default coroutine "
         "engine stores nothing in the spec, so default grids keep their "
         "historical hashes (array = vectorized numpy backend)",
     )
     parser.add_argument(
-        "--problem", choices=("mst", "mis"), default=None,
+        "--problem", choices=problem_names(), default=None,
         help="problem bundle for every cell (default mst; MST-only grids "
         "keep their historical JobSpec hashes)",
     )
@@ -907,7 +907,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_cell_arguments(run_parser, n=64)
     _add_termination_argument(run_parser)
     run_parser.add_argument(
-        "--engine", choices=("coroutine", "array"), default=None,
+        "--engine", choices=ENGINES, default=None,
         help="simulation backend: coroutine (default) or the vectorized "
         "numpy array engine (randomized MST, perfect channel only)",
     )

@@ -63,7 +63,8 @@ from repro.sim.array_engine import (
     TUPLE_OVERHEAD,
     int_field_bits,
 )
-from repro.sim.capabilities import ARRAY_INT_BOUND, validate_array_sim_kwargs
+from repro.graphs import INT_BOUND
+from repro.sim.capabilities import validate_array_sim_kwargs
 from repro.sim.engine import SimulationResult
 
 from .mst_randomized import HEADS, TAILS, MSTNodeOutput, randomized_phase_count
@@ -73,7 +74,7 @@ from .schedule import block_span
 #: Every accepted weight lies below it, so minima ignore it naturally (it
 #: is the identity of ``min``), matching ``min_merge``; payload sizing
 #: maps it back to ``None`` (3 bits).
-INT_NOTHING = ARRAY_INT_BOUND
+INT_NOTHING = INT_BOUND
 
 
 def ancestor_jumps(parent: Any) -> List[Tuple[Any, Any]]:

@@ -43,19 +43,9 @@ def require_connected(graph: WeightedGraph) -> None:
 
 
 def require_sleeping_model_inputs(graph: WeightedGraph) -> None:
-    """Validate every assumption of the paper's input model at once."""
+    """Connectivity: the one input assumption :class:`WeightedGraph`'s
+    constructor does not check."""
     require_connected(graph)
-    # Distinct weights and positive IDs are enforced at construction time by
-    # WeightedGraph; re-checking here keeps the contract explicit for graphs
-    # constructed by external code paths.
-    weights = graph.edge_columns.weight
-    if len(weights) != len(set(weights)):
-        raise ValueError("edge weights must be distinct")
-    node_ids = graph.node_ids
-    if any(node_id < 1 for node_id in node_ids):
-        raise ValueError("node IDs must be >= 1")
-    if graph.max_id < max(node_ids):
-        raise ValueError("max_id must bound every node ID")
 
 
 def check_local_mst_outputs(

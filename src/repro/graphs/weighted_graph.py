@@ -65,6 +65,12 @@ class Edge:
         raise ValueError(f"node {node_id} is not an endpoint of {self}")
 
 
+#: Every node ID, ``max_id`` and weight lies below this bound.  Below it an
+#: int64 holds each value and its bit length exactly, and the bound itself
+#: is the array engine's "no value" (:data:`repro.core.array_ops.INT_NOTHING`).
+INT_BOUND = 1 << 62
+
+
 class EdgeColumns(NamedTuple):
     """A graph's edges as read-only columns, in insertion order.
 
@@ -82,18 +88,23 @@ class EdgeColumns(NamedTuple):
 class WeightedGraph:
     """An undirected weighted graph with per-node port numbering.
 
+    The constructor is the one check of the input domain; a value outside
+    it raises ``ValueError``.  Every engine reads ``n``, ``N`` and the
+    largest weight from the graph.
+
     Parameters
     ----------
     node_ids:
-        Distinct positive integer IDs.  IDs need not be contiguous; the
-        deterministic algorithm's ``N`` is ``max(node_ids)`` unless
-        overridden via ``max_id``.
+        Distinct positive integer IDs below :data:`INT_BOUND`; they need
+        not be contiguous.
     edges:
         ``(u, v, weight)`` triples.  Weights must be distinct positive
-        integers (distinctness makes the MST unique, as the paper assumes).
+        integers below :data:`INT_BOUND` (distinctness makes the MST
+        unique, as the paper assumes).
     max_id:
-        Optional explicit ``N >= max(node_ids)``; lets experiments vary the
-        ID range independently of ``n``.
+        The ID bound ``N >= max(node_ids)`` every node knows; defaults to
+        ``max(node_ids)``.  Lets experiments vary the ID range
+        independently of ``n``.
     """
 
     def __init__(
@@ -154,9 +165,18 @@ class WeightedGraph:
             v_ports.append((u, pu, weight))
 
         declared_max = self._node_ids[-1]
-        if max_id is not None and max_id < declared_max:
+        if max_id is None:
+            max_id = declared_max
+        elif max_id < declared_max:
             raise ValueError(f"max_id={max_id} < largest node ID {declared_max}")
-        self._max_id = max_id if max_id is not None else declared_max
+        max_weight = max(column_weight, default=1)
+        if max(max_id, max_weight) >= INT_BOUND:
+            raise ValueError(
+                "node IDs, max_id and edge weights must lie below 2**62; "
+                f"max_id is {max_id}, the largest weight {max_weight}"
+            )
+        self._max_id = max_id
+        self._max_weight = max_weight
         self._ports = ports
         self._pairs = pairs
         self._columns = EdgeColumns(
@@ -194,12 +214,13 @@ class WeightedGraph:
 
     @property
     def max_id(self) -> int:
-        """The ID-range bound ``N`` known to deterministic algorithms."""
+        """The ID bound ``N`` every node knows (``NodeContext.max_id``)."""
         return self._max_id
 
     @property
     def max_weight(self) -> int:
-        return max(self._columns.weight, default=1)
+        """The largest edge weight (1 for a graph without edges)."""
+        return self._max_weight
 
     @property
     def edge_columns(self) -> EdgeColumns:

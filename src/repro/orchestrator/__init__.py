@@ -40,19 +40,7 @@ from .pool import (
     shutdown_workers,
 )
 from .progress import ProgressReporter
-from .registry import (
-    ALGORITHM_ALIASES,
-    ALGORITHMS,
-    DIAGNOSTIC_ALGORITHMS,
-    GRAPH_FAMILIES,
-    algorithm_runner,
-    channel_from_spec,
-    graph_factory,
-    resolve_algorithm,
-    resolve_channel_spec,
-    resolve_family,
-    resolve_problem,
-)
+from .registry import GRAPH_FAMILIES, graph_factory, resolve_family
 from .store import (
     SCHEMA_VERSION,
     STATUS_FAILED,
@@ -63,11 +51,8 @@ from .store import (
 )
 
 __all__ = [
-    "ALGORITHM_ALIASES",
-    "ALGORITHMS",
     "BatchReport",
     "Cell",
-    "DIAGNOSTIC_ALGORITHMS",
     "GRAPH_FAMILIES",
     "JobSpec",
     "JobTimeout",
@@ -78,9 +63,7 @@ __all__ = [
     "SCHEMA_VERSION",
     "STATUS_FAILED",
     "STATUS_OK",
-    "algorithm_runner",
     "canonical_json",
-    "channel_from_spec",
     "FAULT_MAX_AWAKE_EVENTS",
     "execute_job",
     "execute_with_policy",
@@ -90,10 +73,7 @@ __all__ = [
     "grid_from_payload",
     "grid_key",
     "load_records",
-    "resolve_algorithm",
-    "resolve_channel_spec",
     "resolve_family",
-    "resolve_problem",
     "run_cell",
     "run_jobs",
     "shutdown_workers",

@@ -22,18 +22,11 @@ import json
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.problems import problem_bundle
+from repro.problems import problem_bundle, resolve_problem
 from repro.sim.capabilities import resolve_engine
+from repro.sim.transport import parse_channel_spec, validate_channel_spec
 
-from .registry import (
-    algorithm_runner,
-    channel_from_spec,
-    graph_factory,
-    resolve_algorithm,
-    resolve_channel_spec,
-    resolve_family,
-    resolve_problem,
-)
+from .registry import graph_factory, resolve_family
 
 if TYPE_CHECKING:
     from repro.core import RunResult
@@ -93,9 +86,10 @@ class JobSpec:
         not accept (:meth:`repro.problems.ProblemBundle.check_options`).
         """
         problem = resolve_problem(problem)
-        algorithm = resolve_algorithm(algorithm, problem)
+        bundle = problem_bundle(problem)
+        algorithm = bundle.resolve_algorithm(algorithm)
         options = dict(options or {})
-        problem_bundle(problem).check_options(algorithm, options)
+        bundle.check_options(algorithm, options)
         return cls(
             algorithm=algorithm,
             family=resolve_family(family),
@@ -198,9 +192,10 @@ def expand_grid(
             "or a non-empty list of channel specs"
         )
     problem = resolve_problem(problem)
-    canonical = [resolve_algorithm(name, problem) for name in algorithms]
+    bundle = problem_bundle(problem)
+    canonical = [bundle.resolve_algorithm(name) for name in algorithms]
     resolved_families = [resolve_family(name) for name in families]
-    fault_axis = [resolve_channel_spec(spec) for spec in (faults or [None])]
+    fault_axis = [validate_channel_spec(spec) for spec in (faults or [None])]
     engine = resolve_engine(engine)
     if monitors is not None:
         from repro.invariants import resolve_monitor_spec
@@ -343,7 +338,7 @@ def run_cell(spec: JobSpec, *, diagnose: bool = False, **sim_kwargs: Any) -> Cel
     propagate.
     """
     graph = graph_factory(spec.family)(spec.n, spec.seed, spec.id_range)
-    runner = algorithm_runner(spec.algorithm, spec.problem)
+    runner = problem_bundle(spec.problem).runner(spec.algorithm)
     options = dict(spec.options)
     faults = options.pop("faults", None)
     # Built fresh inside the worker — MonitorSet instances hold run
@@ -355,7 +350,7 @@ def run_cell(spec: JobSpec, *, diagnose: bool = False, **sim_kwargs: Any) -> Cel
         options["monitors"] = monitor_set
     options.update(sim_kwargs)
     if faults is not None:
-        options["channel"] = channel_from_spec(faults)
+        options["channel"] = parse_channel_spec(faults)
         options.setdefault("max_awake_events", FAULT_MAX_AWAKE_EVENTS)
     elif not diagnose:
         result = runner(graph, spec.seed, **options)

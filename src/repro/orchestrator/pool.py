@@ -34,6 +34,7 @@ each importing it.
 
 from __future__ import annotations
 
+import atexit
 import os
 import signal
 import sys
@@ -284,14 +285,20 @@ def shutdown_workers() -> None:
 
     Pools checked out by a running batch are not touched; they become
     idle when their batch ends.  The next pooled :func:`run_jobs` call
-    starts fresh workers.  Idle workers also end when the interpreter
-    exits, so calling this is needed only to release them earlier.
+    starts fresh workers.  It also runs at interpreter exit, so calling
+    it is needed only to release them earlier.
     """
     with _idle_lock:
         idle = list(_idle)
         _idle.clear()
     for workers in idle:
         workers.executor.shutdown(wait=True)
+
+
+# Shut idle pools down while the interpreter is whole: left to teardown,
+# an executor is collected after concurrent.futures.process has lost its
+# module globals, and its callback prints an ignored AttributeError.
+atexit.register(shutdown_workers)
 
 
 @dataclass

@@ -60,9 +60,8 @@ class ProblemBundle:
     """Everything one problem contributes to the stack.
 
     Bundles are registered once at import time (:func:`register_problem`)
-    and treated as immutable; the mappings they carry are shared with the
-    legacy module-level tables in :mod:`repro.orchestrator.registry`, so
-    the two views can never drift.
+    and treated as immutable.  Every door resolves an algorithm name
+    through :meth:`resolve_algorithm` and a runner through :meth:`runner`.
     """
 
     #: Registry key and the value of the ``problem=`` grid axis.

@@ -1,10 +1,9 @@
 """The MST problem bundle — the paper's own problem, now one of many.
 
-This module owns the algorithm tables that used to live in
-:mod:`repro.orchestrator.registry`; the registry re-exports the *same*
-dict objects for backwards compatibility, so the two views cannot drift.
-Runners all share the signature ``runner(graph, seed, **options)`` and
-return an :class:`repro.core.MSTRunResult`.
+The tables below, registered as :data:`MST_BUNDLE`, are the one home of
+the MST algorithm names.  Runners all share the signature
+``runner(graph, seed, **options)`` and return an
+:class:`repro.core.MSTRunResult`.
 """
 
 from __future__ import annotations

@@ -43,13 +43,8 @@ from typing import Any, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .capabilities import ARRAY_INT_BOUND
-from .congest import DEFAULT_CONGEST_FACTOR, congest_budget_bits
-from .errors import (
-    CongestViolation,
-    SimulationLimitExceeded,
-    UnsupportedFeatureError,
-)
+from .congest import congest_policy
+from .errors import CongestViolation, SimulationLimitExceeded
 from .metrics import Metrics, NodeMetrics
 
 #: Scalar bit cost of ``None``/``bool`` payload fields (1 + tag overhead).
@@ -79,24 +74,15 @@ class ArrayGraph:
     puts every node's edges in port order, and each directed edge's
     reverse is its partner ``e ^ 1``.
 
-    A node ID or weight at or above
-    :data:`~repro.sim.capabilities.ARRAY_INT_BOUND` raises
-    :class:`~repro.sim.errors.UnsupportedFeatureError`.
+    ``graph`` is a :class:`repro.graphs.WeightedGraph`, so every ID and
+    weight fits int64 (:data:`repro.graphs.INT_BOUND`).
     """
 
     def __init__(self, graph: Any) -> None:
-        ids = sorted(graph.node_ids)
-        if not ids:
-            raise ValueError("graph has no nodes")
+        ids = graph.node_ids
         columns = graph.edge_columns
-        self.max_id = ids[-1]
-        self.max_weight = max(columns.weight, default=1)
-        if max(self.max_id, self.max_weight) >= ARRAY_INT_BOUND:
-            raise UnsupportedFeatureError(
-                "node IDs or weights of 2**62 or more",
-                f"the largest ID is {self.max_id}, the largest weight "
-                f"{self.max_weight}",
-            )
+        self.max_id = graph.max_id
+        self.max_weight = graph.max_weight
         # np.fromiter with a known dtype and count converts a sequence of
         # Python ints faster than np.asarray, which first discovers the
         # dtype.
@@ -150,7 +136,7 @@ def int_field_bits(values: Any) -> Any:
 
     ``bit_length(v) + 3`` for ``v != 0`` and ``4`` for ``v == 0``, exactly
     matching the scalar sizer the coroutine engine applies per message,
-    for every magnitude up to :data:`~repro.sim.capabilities.ARRAY_INT_BOUND`.
+    for every magnitude up to :data:`repro.graphs.INT_BOUND`.
     """
     v = np.abs(values)
     bit_length = np.searchsorted(_POWERS_OF_TWO, v, side="right")
@@ -173,18 +159,19 @@ class BlockAccountant:
     :meth:`check_limits` checks the phase's largest payload against the
     CONGEST budget and the round and awake-event caps, and
     :meth:`finalize` folds the arrays into the coroutine engine's
-    :class:`~repro.sim.metrics.Metrics` shape.
+    :class:`~repro.sim.metrics.Metrics` shape.  The keywords are what
+    :func:`~repro.sim.capabilities.validate_array_sim_kwargs` returns.
     """
 
     def __init__(
         self,
         graph: ArrayGraph,
         *,
-        congest_universe: Optional[int] = None,
-        strict_congest: bool = True,
-        congest_factor: Optional[int] = None,
-        max_rounds: Optional[int] = None,
-        max_awake_events: int = 50_000_000,
+        congest_universe: Optional[int],
+        strict_congest: bool,
+        congest_factor: Optional[int],
+        max_rounds: Optional[int],
+        max_awake_events: int,
     ) -> None:
         self.graph = graph
         n = graph.n
@@ -196,13 +183,9 @@ class BlockAccountant:
         self.last_awake = np.zeros(n, dtype=np.int64)
         self.max_message_bits = 0
         self.congest_violations = 0
-        universe = congest_universe or max(
-            graph.n, graph.max_id, graph.max_weight
-        )
-        factor = (
-            DEFAULT_CONGEST_FACTOR if congest_factor is None else congest_factor
-        )
-        self.budget = congest_budget_bits(universe, factor)
+        self.budget = congest_policy(
+            graph, congest_universe, strict_congest, congest_factor
+        ).budget
         self.strict_congest = strict_congest
         self.max_rounds = max_rounds
         self.max_awake_events = max_awake_events

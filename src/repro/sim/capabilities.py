@@ -45,13 +45,6 @@ ARRAY_REJECTED_KWARGS = {
 #: accepts only channels with ``is_perfect`` set.
 ARRAY_REJECTED_CHANNELS = "fault specs"
 
-#: Every weight and node ID the array engine accepts lies below this
-#: bound; :class:`~repro.sim.array_engine.ArrayGraph` rejects a graph with
-#: a larger one before round 1.  Below it, int64 arrays hold every value
-#: and its bit length exactly, and the bound itself is free to serve as
-#: the "no value" sentinel (:data:`repro.core.array_ops.INT_NOTHING`).
-ARRAY_INT_BOUND = 1 << 62
-
 #: ``SleepingSimulator`` keyword arguments the array engine honours, with
 #: their defaults.  Any keyword in neither table is rejected.
 ARRAY_SIM_OPTIONS = {

@@ -275,3 +275,18 @@ class CongestPolicy:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         mode = "strict" if self.strict else "lenient"
         return f"CongestPolicy(universe={self.universe}, budget={self.budget}b, {mode})"
+
+
+def congest_policy(
+    graph: Any, universe: Optional[int], strict: bool, factor: Optional[int]
+) -> CongestPolicy:
+    """The CONGEST policy of one run on ``graph``, for either engine.
+
+    ``universe`` defaults to ``max(n, N, W)`` read from the graph, and
+    ``factor`` to :data:`DEFAULT_CONGEST_FACTOR`.
+    """
+    if not universe:
+        universe = max(graph.n, graph.max_id, graph.max_weight)
+    if factor is None:
+        factor = DEFAULT_CONGEST_FACTOR
+    return CongestPolicy(universe, strict, factor)

@@ -48,7 +48,7 @@ from dataclasses import dataclass, field
 from random import Random
 from typing import Any, Dict, List, Optional, Tuple
 
-from .congest import CongestPolicy
+from .congest import congest_policy
 from .errors import (
     CongestViolation,
     NodeCrashed,
@@ -132,10 +132,8 @@ class SleepingSimulator:
     Parameters
     ----------
     graph:
-        Any object exposing ``node_ids`` (iterable of distinct int IDs) and
-        ``ports_of(node_id)`` returning ``{port: (neighbour_id,
-        neighbour_port, weight)}``.  :class:`repro.graphs.WeightedGraph`
-        satisfies this.
+        A :class:`repro.graphs.WeightedGraph`.  Every node's ``ctx.n``
+        and ``ctx.max_id`` are the graph's ``n`` and declared ``N``.
     protocol_factory:
         Called once per node with its :class:`~repro.sim.node.NodeContext`;
         must return the node's protocol generator.
@@ -144,7 +142,7 @@ class SleepingSimulator:
         node's ID, so runs are exactly reproducible.
     congest_universe:
         Upper bound on message-field magnitudes for the CONGEST size budget.
-        Defaults to ``max(n, N, max edge weight)`` derived from the graph.
+        Defaults to ``max(n, N, max edge weight)`` read from the graph.
     strict_congest:
         If true (default), oversized messages raise
         :class:`~repro.sim.errors.CongestViolation`; otherwise they are
@@ -215,22 +213,13 @@ class SleepingSimulator:
         self.max_rounds = max_rounds
         self.max_awake_events = max_awake_events
 
-        self._node_ids: List[int] = sorted(graph.node_ids)
-        if not self._node_ids:
-            raise ValueError("graph has no nodes")
+        self._node_ids: List[int] = graph.node_ids
         self._adjacency: Dict[int, Dict[int, Tuple[int, int, int]]] = {
-            node_id: dict(graph.ports_of(node_id)) for node_id in self._node_ids
+            node_id: graph.ports_of(node_id) for node_id in self._node_ids
         }
-
-        n = len(self._node_ids)
-        max_id = max(self._node_ids)
-        max_weight = 1
-        for ports in self._adjacency.values():
-            for _, _, weight in ports.values():
-                max_weight = max(max_weight, abs(int(weight)))
-        universe = congest_universe or max(n, max_id, max_weight)
-        congest_kwargs = {} if congest_factor is None else {"factor": congest_factor}
-        self.congest = CongestPolicy(universe, strict=strict_congest, **congest_kwargs)
+        self.congest = congest_policy(
+            graph, congest_universe, strict_congest, congest_factor
+        )
 
         self.channel: ChannelModel = channel if channel is not None else PerfectChannel()
 
@@ -256,8 +245,8 @@ class SleepingSimulator:
             from repro.obs import ObsRecorder
 
             self.obs = ObsRecorder(registry=obs_registry, monitors=monitors)
-        self._n = n
-        self._max_id = max_id
+        self._n = graph.n
+        self._max_id = graph.max_id
         self._ran = False
 
     # ------------------------------------------------------------------

@@ -49,18 +49,17 @@ def simulate_dense(
     seed: int = 0,
     max_rounds: int = 100_000,
 ) -> ReferenceResult:
-    """Run protocols by visiting every round explicitly."""
-    node_ids = sorted(graph.node_ids)
-    adjacency = {node: dict(graph.ports_of(node)) for node in node_ids}
-    n = len(node_ids)
-    max_id = max(node_ids)
+    """Run protocols on a :class:`repro.graphs.WeightedGraph` by visiting
+    every round explicitly."""
+    node_ids = graph.node_ids
+    adjacency = {node: graph.ports_of(node) for node in node_ids}
 
     states: Dict[int, _Pending] = {}
     for node_id in node_ids:
         context = NodeContext(
             node_id=node_id,
-            n=n,
-            max_id=max_id,
+            n=graph.n,
+            max_id=graph.max_id,
             ports=tuple(sorted(adjacency[node_id])),
             port_weights={
                 port: entry[2] for port, entry in adjacency[node_id].items()

@@ -375,21 +375,25 @@ def _parse_one(part: str) -> ChannelModel:
             return _parse_crash_arg(arg)
     except ValueError as error:
         raise ValueError(f"bad channel spec {text!r}: {error}") from error
-    raise ValueError(
-        f"unknown channel kind {kind!r} in spec {text!r}; "
-        f"examples: {', '.join(CHANNEL_SPEC_EXAMPLES)}"
-    )
+    raise ValueError(f"unknown channel kind {kind!r} in spec {text!r}")
 
 
 def parse_channel_spec(spec: Optional[str]) -> ChannelModel:
     """Build a channel model from a spec string (see module docstring).
 
     ``None`` and ``""`` and ``"perfect"`` all yield :class:`PerfectChannel`;
-    ``'+'`` joins parts into a :class:`CompositeChannel`.
+    ``'+'`` joins parts into a :class:`CompositeChannel`.  A bad spec
+    raises ``ValueError`` ending in ``examples:`` and
+    :data:`CHANNEL_SPEC_EXAMPLES`, the message every door prints.
     """
     if spec is None or not spec.strip() or spec.strip() == "perfect":
         return PerfectChannel()
-    parts = [_parse_one(part) for part in spec.split("+")]
+    try:
+        parts = [_parse_one(part) for part in spec.split("+")]
+    except ValueError as error:
+        raise ValueError(
+            f"{error}; examples: {', '.join(CHANNEL_SPEC_EXAMPLES)}"
+        ) from None
     meaningful = [part for part in parts if not part.is_perfect]
     if not meaningful:
         return PerfectChannel()
@@ -401,8 +405,9 @@ def parse_channel_spec(spec: Optional[str]) -> ChannelModel:
 def validate_channel_spec(spec: Optional[str]) -> Optional[str]:
     """Parse-check a spec and return it normalised (``None`` for perfect).
 
-    The orchestrator uses this at grid-expansion time so a typo in one
-    fault axis value fails fast, before any job runs.
+    The orchestrator uses this at grid-expansion time, and the CLI on its
+    ``--faults`` flag, so a typo in one fault axis value fails fast,
+    before any job runs.
     """
     channel = parse_channel_spec(spec)
     if channel.is_perfect:

@@ -8,9 +8,12 @@ messages and bits each way, last awake round) in the same node order.
 A second property draws CONGEST budgets around the payload sizes (and,
 for half the cells, weights of 1 to 40 bits), so that some phases exceed
 the budget in some blocks only: strict runs must raise the same error,
-lenient runs count the same violations.  This is the same
-differential-testing posture as :mod:`tests.sim.test_reference_engine`
-(sparse vs dense engine), one level up the stack.
+lenient runs count the same violations.  A third draws cells from the
+whole accepted input domain (weights, sparse IDs and declared ID bounds
+up to 2**62 - 1) and, on small cells, holds both engines to the naive
+round-by-round engine as well.  This is the same differential-testing
+posture as :mod:`tests.sim.test_reference_engine` (sparse vs dense
+engine), one level up the stack.
 """
 
 from __future__ import annotations
@@ -23,10 +26,11 @@ from hypothesis import strategies as st
 
 np = pytest.importorskip("numpy")
 
-from repro.core import run_randomized_mst
-from repro.graphs import WeightedGraph, mst_weight_set
+from repro.core import randomized_mst_protocol, run_randomized_mst
+from repro.graphs import INT_BOUND, WeightedGraph, mst_weight_set
 from repro.orchestrator import GRAPH_FAMILIES
 from repro.sim.errors import CongestViolation
+from repro.sim.reference import simulate_dense
 
 FAMILIES = ("path", "ring", "star", "complete", "grid", "gnp", "geometric")
 
@@ -146,6 +150,80 @@ def test_congest_outcomes_agree_across_budgets(
     if not strict:
         assert coroutine[0] == "ran"
     assert array == coroutine
+
+
+@pytest.mark.parametrize("strict", [True, False])
+def test_congest_outcomes_agree_when_the_id_bound_sets_the_budget(strict):
+    """Ring n=16 with IDs drawn below 256 (the largest is 226) and weights
+    below 113: the declared ``N = 256`` sets ``max(n, N, W)``, so both
+    engines budget ``2 * ceil(log2 257) = 18`` bits, not 16."""
+    graph = GRAPH_FAMILIES["ring"](16, 0, 256)
+    assert max(graph.n, *graph.node_ids, graph.max_weight) < graph.max_id
+    coroutine = congest_outcome(graph, 0, 2, strict, None)
+    array = congest_outcome(graph, 0, 2, strict, "array")
+    assert array == coroutine
+    if strict:
+        assert coroutine[0] == "raised" and coroutine[1][3] == 18
+    else:
+        assert coroutine[1]["congest_violations"] > 0
+
+
+@given(
+    family=st.sampled_from(FAMILIES),
+    n=st.integers(min_value=3, max_value=24),
+    seed=st.integers(min_value=0, max_value=10**6),
+    id_range=st.one_of(
+        st.none(), st.integers(min_value=24, max_value=INT_BOUND - 1)
+    ),
+    declared=st.booleans(),
+    extremes=st.booleans(),
+)
+@settings(max_examples=40, deadline=None)
+def test_engines_agree_across_the_input_domain(
+    family, n, seed, id_range, declared, extremes
+):
+    """Any graph :class:`WeightedGraph` accepts runs identically on both
+    engines: sparse IDs up to 2**62 - 1 (``id_range``), a declared ``N``
+    above the largest ID or equal to it (``declared``), and distinct
+    weights of 1 to 62 bits, log-uniform, with both ends of the domain
+    (``extremes``: 1 and 2**62 - 1).  Up to n = 12 the naive
+    round-by-round engine agrees on rounds, awake counts and messages
+    too."""
+    drawn = GRAPH_FAMILIES[family](n, seed, id_range)
+    columns = drawn.edge_columns
+    rng = Random(seed)
+    weights = {1, INT_BOUND - 1} if extremes else set()
+    while len(weights) < len(columns.weight):
+        bits = rng.randint(1, 62)
+        weights.add(rng.randrange(1 << (bits - 1), 1 << bits))
+    graph = WeightedGraph(
+        drawn.node_ids,
+        zip(columns.u, columns.v, rng.sample(sorted(weights), len(weights))),
+        max_id=drawn.max_id if declared else None,
+    )
+    coroutine = run_randomized_mst(graph, seed=seed)
+    array = run_randomized_mst(graph, seed=seed, engine="array")
+    assert array.mst_weights == coroutine.mst_weights == mst_weight_set(graph)
+    assert array.node_outputs == coroutine.node_outputs
+    assert array.metrics.summary() == coroutine.metrics.summary()
+    per_node = [
+        [
+            (node, metrics.as_dict())
+            for node, metrics in result.metrics.per_node.items()
+        ]
+        for result in (coroutine, array)
+    ]
+    assert per_node[0] == per_node[1]
+    if graph.n <= 12:
+        dense = simulate_dense(graph, randomized_mst_protocol, seed=seed)
+        metrics = coroutine.metrics
+        assert dense.rounds == metrics.rounds
+        assert dense.awake_rounds == {
+            node: node_metrics.awake_rounds
+            for node, node_metrics in metrics.per_node.items()
+        }
+        assert dense.messages_delivered == metrics.messages_delivered
+        assert dense.messages_lost == metrics.messages_lost
 
 
 @given(seed=st.integers(min_value=0, max_value=10**6))

@@ -128,7 +128,12 @@ class TestColumnConsumers:
 
         graph = WeightedGraph([2, 4, 9], [(2, 4, 1), (4, 9, 2)])
         columns = graph.edge_columns._replace(u=(bad[0], 4), v=(bad[1], 9))
-        broken = SimpleNamespace(node_ids=graph.node_ids, edge_columns=columns)
+        broken = SimpleNamespace(
+            node_ids=graph.node_ids,
+            edge_columns=columns,
+            max_id=graph.max_id,
+            max_weight=graph.max_weight,
+        )
         with pytest.raises(ValueError, match="asymmetric port table"):
             ArrayGraph(broken)
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.graphs import Edge, WeightedGraph, path_graph, ring_graph
+from repro.graphs import INT_BOUND, Edge, WeightedGraph, path_graph, ring_graph
 
 
 def triangle():
@@ -51,6 +51,36 @@ class TestConstruction:
     def test_explicit_max_id(self):
         graph = WeightedGraph([2, 7], [(2, 7, 1)], max_id=100)
         assert graph.max_id == 100
+
+    @pytest.mark.parametrize(
+        "ids, weights, max_id",
+        [
+            ((1, 2, 3), (2**62, 2**62 - 2, 7), None),
+            # Above the bound, and past int64.
+            ((1, 2, 3), (2**62 + 5, 2**62 + 3, 7), None),
+            ((1, 2, 3), (2**63 + 5, 2**63 + 3, 7), None),
+            ((1, 2, 2**62), (2, 3, 7), None),
+            ((1, 2, 3), (2, 3, 7), 2**62),
+        ],
+        ids=[
+            "weight-2**62",
+            "weight-2**62+5",
+            "weight-2**63+5",
+            "id-2**62",
+            "max_id-2**62",
+        ],
+    )
+    def test_rejects_the_bound(self, ids, weights, max_id):
+        # Every engine runs only graphs built here, so none sees a value
+        # at or above the bound.
+        triangle_edges = zip(ids, ids[1:] + ids[:1], weights)
+        with pytest.raises(ValueError, match=r"below 2\*\*62"):
+            WeightedGraph(ids, triangle_edges, max_id=max_id)
+
+    def test_accepts_just_below_the_bound(self):
+        top = INT_BOUND - 1
+        graph = WeightedGraph([1, top], [(1, top, top)], max_id=top)
+        assert graph.max_id == graph.max_weight == top == 2**62 - 1
 
 
 class TestPorts:

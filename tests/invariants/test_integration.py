@@ -13,8 +13,9 @@ from repro.graphs import (
     verify_or_diagnose,
 )
 from repro.invariants import build_monitor_set
-from repro.orchestrator import GRAPH_FAMILIES, channel_from_spec
+from repro.orchestrator import GRAPH_FAMILIES
 from repro.orchestrator.jobs import FAULT_MAX_AWAKE_EVENTS
+from repro.sim.transport import parse_channel_spec
 
 RUNNERS = {
     "randomized": run_randomized_mst,
@@ -67,7 +68,7 @@ class TestByteIdentity:
 class TestFaultedDiagnosis:
     def run_cell(self, drop, seed, monitors):
         graph = GRAPH_FAMILIES["gnp"](24, seed, None)
-        channel = channel_from_spec(f"drop:{drop}")
+        channel = parse_channel_spec(f"drop:{drop}")
         return graph, verify_or_diagnose(
             graph,
             lambda: run_randomized_mst(
@@ -114,7 +115,7 @@ class TestCrashFaults:
                 graph,
                 seed=0,
                 monitors=monitors,
-                channel=channel_from_spec("crash:1@40"),
+                channel=parse_channel_spec("crash:1@40"),
                 max_awake_events=FAULT_MAX_AWAKE_EVENTS,
             ),
             monitors=monitors,

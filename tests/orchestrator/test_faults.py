@@ -7,29 +7,28 @@ import pytest
 from repro.orchestrator import (
     FAULT_MAX_AWAKE_EVENTS,
     JobSpec,
-    channel_from_spec,
     execute_job,
     expand_grid,
-    resolve_channel_spec,
 )
 from repro.sim import DropChannel, PerfectChannel
+from repro.sim.transport import parse_channel_spec, validate_channel_spec
 
 
 class TestResolveChannelSpec:
     @pytest.mark.parametrize("spec", [None, "", "perfect"])
     def test_perfect_normalizes_to_none(self, spec):
-        assert resolve_channel_spec(spec) is None
+        assert validate_channel_spec(spec) is None
 
     def test_fault_spec_normalized(self):
-        assert resolve_channel_spec(" drop:0.05 ") == "drop:0.05"
+        assert validate_channel_spec(" drop:0.05 ") == "drop:0.05"
 
     def test_bad_spec_lists_examples(self):
         with pytest.raises(ValueError, match="examples:"):
-            resolve_channel_spec("gamma-rays:9000")
+            validate_channel_spec("gamma-rays:9000")
 
     def test_channel_from_spec(self):
-        assert isinstance(channel_from_spec(None), PerfectChannel)
-        assert isinstance(channel_from_spec("drop:0.05"), DropChannel)
+        assert isinstance(parse_channel_spec(None), PerfectChannel)
+        assert isinstance(parse_channel_spec("drop:0.05"), DropChannel)
 
 
 class TestFaultAxis:

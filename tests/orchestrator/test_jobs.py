@@ -14,15 +14,15 @@ from repro.orchestrator import (
     expand_grid,
     grid_from_payload,
     grid_key,
-    resolve_algorithm,
 )
+from repro.problems import MST_BUNDLE
 
 
 class TestJobSpec:
     def test_aliases_resolve_to_canonical(self):
         spec = JobSpec.create("randomized", "ring", 8, 0)
         assert spec.algorithm == "Randomized-MST"
-        assert resolve_algorithm("DETERMINISTIC") == "Deterministic-MST"
+        assert MST_BUNDLE.resolve_algorithm("DETERMINISTIC") == "Deterministic-MST"
 
     def test_unknown_algorithm_rejected(self):
         with pytest.raises(ValueError, match="unknown algorithm"):

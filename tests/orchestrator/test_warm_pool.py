@@ -349,3 +349,30 @@ print(json.dumps(calls))
     # the numpy-forked pool as it is.
     assert len(array[1]) == 2 and not set(array[1]) & set(coroutine[1])
     assert after[1] == array[1]
+
+
+def test_idle_workers_end_quietly_at_exit():
+    """A process that leaves a warm pool idle and then runs a hypothesis
+    test exits without printing: the pool is shut down before
+    interpreter teardown, not collected during it."""
+    code = """
+from hypothesis import given, strategies as st
+from repro.orchestrator import expand_grid, run_jobs
+
+report = run_jobs(expand_grid(["randomized"], ["ring"], [8], [0, 1]), workers=2)
+assert report.failed == 0
+
+@given(st.integers())
+def check(value):
+    pass
+
+check()
+"""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
+    completed = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert completed.returncode == 0, completed.stderr
+    assert completed.stderr == ""

@@ -16,7 +16,6 @@ from repro.orchestrator import (
     execute_job,
     expand_grid,
 )
-from repro.orchestrator import registry as orchestrator_registry
 from repro.problems import (
     DEFAULT_PROBLEM,
     MIS_BUNDLE,
@@ -25,7 +24,6 @@ from repro.problems import (
     problem_names,
     resolve_problem,
 )
-from repro.problems import mst as mst_module
 
 
 class TestRegistry:
@@ -38,19 +36,6 @@ class TestRegistry:
     def test_resolve_problem_rejects_unknown(self):
         with pytest.raises(ValueError, match="unknown problem"):
             resolve_problem("coloring")
-
-    def test_orchestrator_tables_are_the_bundle_tables(self):
-        # The legacy module-level tables re-export the bundle's dicts as
-        # the *same objects*, so the two views can never drift.
-        assert orchestrator_registry.ALGORITHMS is mst_module.ALGORITHMS
-        assert (
-            orchestrator_registry.DIAGNOSTIC_ALGORITHMS
-            is mst_module.DIAGNOSTIC_ALGORITHMS
-        )
-        assert (
-            orchestrator_registry.ALGORITHM_ALIASES
-            is mst_module.ALGORITHM_ALIASES
-        )
 
     def test_unknown_algorithm_error_lists_diagnostics(self):
         # Satellite: the error must list every resolvable name, the
@@ -79,7 +64,7 @@ class TestRegistry:
 class TestRunResultSurface:
     def test_mst_result_is_problem_generic(self):
         graph = GRAPH_FAMILIES["ring"](8, 0, None)
-        runner = orchestrator_registry.algorithm_runner("randomized")
+        runner = MST_BUNDLE.runner("randomized")
         result = runner(graph, 0)
         assert isinstance(result, MSTRunResult)
         assert isinstance(result, RunResult)

@@ -8,11 +8,13 @@ import re
 import subprocess
 import sys
 import threading
+import urllib.request
 
 import pytest
 
 from repro.cli import main
 from repro.service import JobQueue, ServiceClient, build_server
+from repro.telemetry import load_flight_events, parse_prometheus, validate_promtext
 
 RING_ARGS = ["--families", "ring", "--sizes", "8", "--seeds", "2"]
 
@@ -158,6 +160,113 @@ class TestServeDaemon:
             finally:
                 process.terminate()
                 process.wait(timeout=15)
+
+    def test_json_logging_daemon_serves_a_mixed_grid(self, tmp_path, capsys):
+        """A real ``serve --log-json`` daemon, driven as a deployment
+        would be: a 16-cell grid over two algorithms and two families
+        runs once however it is submitted (client, then CLI); the daemon
+        counts fewer connections than requests; its /metrics page, the
+        ``top`` snapshot, the flight-recorder file and its JSON access
+        lines all show the run."""
+        env = dict(os.environ)
+        src = os.path.join(os.getcwd(), "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        root = tmp_path / "svc"
+        log_path = tmp_path / "serve.log"
+        flags = [
+            "--algorithms", "randomized", "traditional",
+            "--families", "ring", "gnp", "--sizes", "8", "16", "--seeds", "2",
+        ]
+        grid = {
+            "algorithms": ["randomized", "traditional"],
+            "families": ["ring", "gnp"],
+            "sizes": [8, 16],
+            "seeds": 2,
+        }
+        with open(log_path, "w") as log, subprocess.Popen(
+            [
+                sys.executable, "-m", "repro.cli", "serve", "--port", "0",
+                "--root", str(root), "--log-json",
+            ],
+            env=env,
+            stdout=subprocess.PIPE,
+            stderr=log,
+            text=True,
+        ) as process:
+            try:
+                url = re.search(
+                    r"http://[\d.]+:\d+", process.stdout.readline()
+                ).group(0)
+                with ServiceClient(url) as client:
+                    client.wait_until_up(timeout_s=30)
+                    first = client.submit(grid)
+                    assert first["coalesced"] is False
+                    final = client.wait(first["job"], timeout_s=300)
+                    assert final["status"] == "done"
+                    second = client.submit(grid)
+                    assert second["coalesced"] is True
+                    assert second["job"] == first["job"]
+                    stats = client.stats()
+                    assert stats["jobs"]["total"] == 1
+                    assert stats["submissions"] == {"total": 2, "coalesced": 1}
+                    result = client.fetch(first["job"])
+                    assert result["summary"]["failed"] == 0
+                    assert len(result["records"]) == 16
+
+                command = ["submit", "--url", url, *flags, "--wait", "--json"]
+                assert main([*command, "--quiet"]) == 0
+                submitted = json.loads(capsys.readouterr().out)
+                assert submitted["status"] == "done"
+                assert submitted["summary"]["failed"] == 0
+                assert len(submitted["records"]) == 16
+
+                # Connection reuse, as the daemon counts it.
+                with ServiceClient(url) as client:
+                    samples = parse_prometheus(client.metrics_text())
+                requests = sum(
+                    value
+                    for key, value in samples.items()
+                    if key.startswith("service_http_requests_total{")
+                )
+                assert requests > 0
+                assert samples["service_http_connections_total"] < requests
+
+                # A plain scrape of /metrics, as Prometheus makes it.
+                with urllib.request.urlopen(f"{url}/metrics") as response:
+                    text = response.read().decode()
+                assert validate_promtext(text) > 0
+                scraped = parse_prometheus(text)
+                coalesced = 'service_submissions_total{kind="coalesced"}'
+                assert scraped.get(coalesced, 0) >= 1
+                assert any(
+                    key.startswith("service_http_request_seconds_bucket{")
+                    for key in scraped
+                )
+
+                assert main(["top", "--url", url, "--once", "--json"]) == 0
+                sample = json.loads(capsys.readouterr().out)
+                assert sample["jobs"]["done"] >= 1
+                assert sample["coalesced"] >= 1
+                assert sample["requests_total"] > 0
+            finally:
+                process.terminate()
+                process.wait(timeout=15)
+
+        (path,) = (root / "jobs").glob("*.events.ndjson")
+        events = load_flight_events(path)
+        kinds = [event["event"] for event in events]
+        assert kinds[0] == "submitted" and "finalized" in kinds
+        assert len({e["trace_id"] for e in events if "trace_id" in e}) == 1
+        lines = [
+            json.loads(line)
+            for line in log_path.read_text().splitlines()
+            if line.startswith("{")
+        ]
+        access = [
+            line for line in lines if line.get("logger") == "repro.service.access"
+        ]
+        assert access
+        assert all("trace_id" in line and "duration_ms" in line for line in access)
 
     def test_sigterm_ends_the_warm_workers(self, tmp_path, survivors):
         """A daemon stopped with SIGTERM drains like Ctrl-C: it exits 0

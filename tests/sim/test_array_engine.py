@@ -6,7 +6,7 @@ every supported configuration — same MST edge sets, same
 record fingerprints through the orchestrator — and must refuse loudly
 (``UnsupportedFeatureError``) on everything it does not implement
 (traces, observers, monitors, non-perfect channels, the deterministic
-algorithm, weights or node IDs of 2**62 or more).  A slow test
+algorithm).  A slow test
 (``pytest --slow``) holds the equivalence on the scale tier's n=4096
 grid, and a work-count guard holds the Python calls of one array run.
 """
@@ -120,8 +120,9 @@ def five_cycle(weights=(2, 3, 7, 9, 11), last_id=5):
 
 
 class TestIntegerDomain:
-    """Below ``ARRAY_INT_BOUND`` (2**62) the engines agree on every weight
-    and ID; at or above it the array engine refuses before round 1."""
+    """Below :data:`repro.graphs.INT_BOUND` (2**62) the engines agree on
+    every weight and ID; no graph at or above it can be built
+    (``tests/graphs/test_weighted_graph.py``)."""
 
     def test_int_field_bits_matches_the_scalar_sizer(self):
         from repro.sim.array_engine import int_field_bits
@@ -149,22 +150,6 @@ class TestIntegerDomain:
         assert_identical(coroutine, array)
         assert coroutine.metrics.max_message_bits == max_message_bits
         assert coroutine.metrics.total_bits == total_bits
-
-    @pytest.mark.parametrize(
-        "graph",
-        [
-            five_cycle(weights=(2**62, 2**62 - 2, 7, 9, 11)),
-            # Above the sentinel, and past int64.
-            five_cycle(weights=(2**62 + 5, 2**62 + 3, 7, 9, 11)),
-            five_cycle(weights=(2**63 + 5, 2**63 + 3, 7, 9, 11)),
-            five_cycle(last_id=2**62),
-        ],
-        ids=["weight-2**62", "weight-2**62+5", "weight-2**63+5", "id-2**62"],
-    )
-    def test_array_engine_rejects_the_bound(self, graph):
-        assert run_randomized_mst(graph, seed=0).is_correct_mst(graph)
-        with pytest.raises(UnsupportedFeatureError, match=r"2\*\*62 or more"):
-            run_randomized_mst(graph, seed=0, engine="array")
 
 
 class TestScaleOracle:
@@ -307,12 +292,12 @@ class TestUnsupportedFeatures:
             run_deterministic_mst(graph, engine="array")
 
     def test_comparator_runners_rejected(self):
-        from repro.orchestrator import algorithm_runner
+        from repro.problems import MST_BUNDLE
 
         graph = GRAPH_FAMILIES["ring"](8, 0, None)
         for name in ("traditional", "pipelined"):
             with pytest.raises(UnsupportedFeatureError):
-                algorithm_runner(name)(graph, 0, engine="array")
+                MST_BUNDLE.runner(name)(graph, 0, engine="array")
 
     @pytest.mark.parametrize(
         "kwargs, feature",

@@ -110,6 +110,24 @@ def test_randomness_agrees(seed):
     compare(graph, factory, seed=seed)
 
 
+def test_nodes_know_the_declared_id_bound():
+    """Every node's ``ctx.max_id`` is the ``N`` the graph declares (256),
+    not its largest drawn ID (226), under both engines."""
+    graph = ring_graph(16, seed=0, id_range=256)
+    assert max(graph.node_ids) < graph.max_id == 256
+
+    def factory(ctx):
+        def protocol():
+            yield Awake(1)
+            return ctx.max_id
+
+        return protocol()
+
+    expected = dict.fromkeys(graph.node_ids, 256)
+    assert simulate(graph, factory).node_results == expected
+    assert simulate_dense(graph, factory).node_results == expected
+
+
 def test_full_mst_run_agrees():
     """The flagship algorithm itself, under both engines."""
     graph = random_connected_graph(12, 0.25, seed=5)

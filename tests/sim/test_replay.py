@@ -78,12 +78,12 @@ class TestFaultHeaderV2:
         return protocol
 
     def test_fault_counters_round_trip(self, tmp_path):
-        from repro.orchestrator import channel_from_spec
+        from repro.sim.transport import parse_channel_spec
 
         graph = ring_graph(8, seed=2)
         result = simulate(
             graph, self.chatty(), trace=True,
-            channel=channel_from_spec("drop:0.2"),
+            channel=parse_channel_spec("drop:0.2"),
         )
         target = tmp_path / "faulted.jsonl"
         save_trace(result, target)
